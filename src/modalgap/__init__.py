@@ -3,11 +3,11 @@ instances, Monte Carlo complexity estimates, and the separation experiments
 built on them."""
 
 from .core import (ABSOLUTE, CLIPPED_ABS, DegenerateDataError, DomainError,
-                   InvalidInputError, LabeledMultiSample, Loss, Observation,
-                   SeedSpec, SingularityError, UnlabeledMultiSample,
-                   UnlabeledPair, UnsupportedClassError, draw_labeled,
-                   draw_unlabeled, loss_eval, sample_from_csv, sample_hash,
-                   sample_to_csv)
+                   InvalidInputError, LabeledMultiSample, Loss, ModalgapError,
+                   Observation, SeedSpec, SingularityError,
+                   UnlabeledMultiSample, UnlabeledPair, UnsupportedClassError,
+                   draw_labeled, draw_unlabeled, loss_eval, sample_from_csv,
+                   sample_hash, sample_to_csv)
 from .instances import (BooleanInstance, SeparableInstance, SineInstance,
                         SubspaceInstance, ThreeParamInstance,
                         instance_from_json, instance_to_json, make_boolean,
@@ -18,15 +18,14 @@ from .hypotheses import (BooleanLookupClass, BooleanMapClass,
                          ComposedSineClass, PolynomialClass, ScalingClass,
                          SignCompleteClass, SineSingletonClass,
                          SmoothedHyperplaneClass, TableLookupClass,
-                         eval_connection, eval_predictor, fit_boolean_table,
+                         eval_connection, fit_boolean_table,
                          fit_polynomial_connection, fit_scaling_lad,
                          sup_witness)
 from .complexity import (ComplexityEstimate, RealizabilityReport,
                          approximate_realizability, gaussian_average,
                          gaussian_average_closed_form, rademacher_average,
                          rademacher_average_closed_form)
-from .shatter import (ShatterCertificate, construct, frac_exact,
-                      lattice_point, witness_theta)
+from .shatter import ShatterCertificate, construct, frac_exact, lattice_point
 from .erm import (JointSolution, MultimodalSolution, UnimodalSolution,
                   fit_joint, fit_multimodal, fit_unimodal, predict_unimodal)
 from .analysis import (BoundReport, GapReport, RiskReport, excess_risk,

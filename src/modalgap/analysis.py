@@ -23,13 +23,10 @@ from .core import (CLIPPED_ABS, ABSOLUTE, DomainError, Loss, SeedSpec,
 from .complexity import ComplexityEstimate, gaussian_average
 from .erm import (UnimodalSolution,
                   fit_multimodal, fit_unimodal)
-from .hypotheses import (BooleanConnection, BooleanLookupClass,
-                         ComposedSineClass, ScalingClass,
-                         ScalingConnection, SignCompleteClass,
-                         SineComposition, SinePredictor, SineSingletonClass,
-                         SmoothedHyperplaneClass, TableConnection,
-                         XOnlyPredictorClass, eval_connection,
-                         fit_scaling_lad)
+from .hypotheses import (BooleanLookupClass, ComposedSineClass, ScalingClass,
+                         SignCompleteClass, SinePredictor, SineSingletonClass,
+                         SmoothedHyperplaneClass, XOnlyPredictorClass,
+                         eval_connection)
 from .instances import (BooleanInstance, SeparableInstance, SineInstance,
                         make_boolean, make_sine, make_sine_shattered)
 from .shatter import TWO_PI, frac_exact, lattice_multiplier
@@ -64,12 +61,10 @@ class RiskReport:
 
 
 def _predict_from_x(member, x: float) -> float:
-    if isinstance(member, SineComposition):
-        return member.predict_x(x)
-    if isinstance(member, (ScalingConnection, BooleanConnection, TableConnection)):
-        return float(np.atleast_1d(member.map(x))[0])
     if hasattr(member, "predict_x"):
         return member.predict_x(x)
+    if hasattr(member, "map"):
+        return float(np.atleast_1d(member.map(x))[0])
     raise UnsupportedClassError(f"cannot predict from x with {member!r}")
 
 
@@ -110,15 +105,6 @@ def _truth_prediction(instance, obs) -> float:
     return math.sin(1.0 / y)
 
 
-def _comparator_point_loss(cls, instance, obs, loss: Loss):
-    """Per-point loss of the best fixed member; only valid where the
-    pointwise choice is also the population minimizer (sign-complete)."""
-    z = obs.z
-    bound = cls.bound if isinstance(cls, SignCompleteClass) else 1.0
-    pred = min(max(z, -bound), bound)
-    return loss_eval(loss, pred, z)
-
-
 def comparator_task_risk(instance, t: int, cls, loss: Loss, points):
     """Exact best-in-class risk of predictors seeing both modalities."""
     if isinstance(cls, SineSingletonClass):
@@ -136,9 +122,12 @@ def comparator_task_risk(instance, t: int, cls, loss: Loss, points):
                 best = total
         return best
     if isinstance(cls, SignCompleteClass):
+        # every map is in the class, so the pointwise best value clip(z) is
+        # also the population minimizer
         total = Fraction(0)
         for prob, obs in points:
-            total += Fraction(prob) * Fraction(_comparator_point_loss(cls, instance, obs, loss))
+            pred = min(max(obs.z, -cls.bound), cls.bound)
+            total += Fraction(prob) * Fraction(loss_eval(loss, pred, obs.z))
         return total
     if isinstance(cls, XOnlyPredictorClass):
         value, _, _ = best_unimodal_population_risk(instance, cls.inner, loss,
@@ -209,61 +198,21 @@ def excess_risk(solution, instance, comparator_cls=None, loss: Loss = CLIPPED_AB
 
 def best_unimodal_population_risk(instance, cls, loss: Loss,
                                   grid_points: int = 100_000, task: int = 0):
-    """Best-in-class population risk of x-only prediction.
+    """Best-in-class population risk of x-only prediction, as
+    (risk, member, path) with the path fit_unimodal took.
 
-    Exact for the scaling class under absolute loss (weighted-median LAD)
-    and for finite member sets; grid search (an upper bound on the true
-    minimum, flagged as such) for the composed sine family.
+    Every finite support in the lab carries a uniform law, so the sample ERM
+    on the support points, each listed once, is the population minimizer.
     """
     points = instance.support_enumeration(task)
     if points is None:
         raise DomainError("population risk needs a finite support")
-    probs = np.array([float(p) for p, _ in points])
-    xs = np.array([obs.x[0] for _, obs in points])
-    zs = np.array([obs.z for _, obs in points])
-
-    if isinstance(cls, ScalingClass) and loss.kind == "absolute" and loss.scale == 1.0:
-        theta = fit_scaling_lad(probs * xs, probs * zs, signed=cls.signed)
-        risk = float(np.sum(probs * np.abs(theta * xs - zs)))
-        return risk, ScalingConnection(theta), "exact-lad"
-
-    if hasattr(cls, "members"):
-        best = None
-        for member in cls.members():
-            preds = np.array([_predict_from_x(member, x) for x in xs])
-            losses = np.array([loss_eval(loss, p, z) for p, z in zip(preds, zs)])
-            value = float(np.sum(probs * losses))
-            if best is None or value < best[0]:
-                best = (value, member)
-        return best[0], best[1], "enumeration-exact"
-
-    if isinstance(cls, (ComposedSineClass, ScalingClass)):
-        def objective(thetas):
-            if isinstance(cls, ComposedSineClass):
-                preds = np.sin(1.0 / np.outer(thetas, xs))
-            else:
-                preds = np.outer(thetas, xs)
-            d = loss.scale * np.abs(preds - zs)
-            if loss.kind == "clipped-absolute":
-                d = np.minimum(d, 1.0)
-            return d @ probs
-
-        thetas = np.arange(1, grid_points + 1, dtype=float) / grid_points
-        best_val = math.inf
-        best_theta = 1.0
-        block = 8192
-        for lo in range(0, grid_points, block):
-            chunk = thetas[lo:lo + block]
-            vals = objective(chunk)
-            j = int(np.argmin(vals))
-            if vals[j] < best_val:
-                best_val = float(vals[j])
-                best_theta = float(chunk[j])
-        member = (SineComposition(best_theta) if isinstance(cls, ComposedSineClass)
-                  else ScalingConnection(best_theta))
-        return best_val, member, "grid-upper-bound"
-
-    raise UnsupportedClassError(f"no population oracle for {cls!r}")
+    if len({prob for prob, _ in points}) != 1:
+        raise DomainError("population risk needs a uniform support law")
+    xz = [(obs.x[0], obs.z) for _, obs in points]
+    solution = fit_unimodal(xz, cls, loss, grid_points=grid_points,
+                            refine=False)
+    return solution.objective, solution.member, solution.path
 
 
 # ---------------------------------------------------------------------------
@@ -777,6 +726,10 @@ def bound_scaling_experiment(ns, ms, Ts, seeds, theta_star: float = 0.7,
     connection average (whose own sqrt(mT) growth is a property of the
     sample, not of the assembly); term4 is regressed as-is against nT.
     """
+    if (len({m * T for m in ms for T in Ts}) < 2
+            or len({n * T for n in ns for T in Ts}) < 2):
+        raise DomainError("the size grid needs two distinct m*T and two "
+                          "distinct n*T values to fit the rates")
     instance = make_sine(theta_star, support=support_size)
     L = SineSingletonClass.lipschitz_on(instance.min_support_y())
     scaling = ScalingClass()

@@ -19,8 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, complexity, erm, shatter
-from .core import (CLIPPED_ABS, DomainError, SeedSpec, draw_labeled,
-                   draw_unlabeled, sample_envelope, sample_to_csv)
+from .core import (CLIPPED_ABS, DomainError, ModalgapError, SeedSpec,
+                   draw_labeled, draw_unlabeled, sample_envelope,
+                   sample_to_csv)
 from .hypotheses import (BooleanLookupClass, BooleanMapClass,
                          ComposedSineClass, ScalingClass, SignCompleteClass,
                          SineSingletonClass)
@@ -70,28 +71,18 @@ def _seed(args) -> SeedSpec:
     return SeedSpec(args.seed)
 
 
-def _connection_class(name: str):
-    classes = {"scaling": ScalingClass(), "signed-scaling": ScalingClass(signed=True),
-               "boolean": BooleanMapClass()}
-    if name not in classes:
-        raise DomainError(f"unknown connection class {name!r}")
-    return classes[name]
+_CLASSES = {"scaling": ScalingClass(), "signed-scaling": ScalingClass(signed=True),
+            "boolean": BooleanMapClass(), "sign-complete": SignCompleteClass(),
+            "singleton": SineSingletonClass(), "composed-sine": ComposedSineClass()}
 
 
-def _estimate_class(name: str, args):
-    if name == "scaling":
-        return ScalingClass()
-    if name == "signed-scaling":
-        return ScalingClass(signed=True)
-    if name == "boolean":
-        return BooleanMapClass()
-    if name == "sign-complete":
-        return SignCompleteClass()
-    if name == "singleton":
-        return SineSingletonClass()
-    if name == "composed-sine":
-        return ComposedSineClass()
-    raise DomainError(f"unknown class {name!r}")
+def _class(name: str, connection: bool = False):
+    """The class called name; with connection=True, only a connection class."""
+    cls = _CLASSES.get(name)
+    if cls is None or (connection and not hasattr(cls, "fit_connection")):
+        kind = "connection class" if connection else "class"
+        raise DomainError(f"unknown {kind} {name!r}")
+    return cls
 
 
 def _parse_points(text: str) -> np.ndarray:
@@ -122,9 +113,13 @@ def cmd_shatter(args) -> int:
 
 def cmd_gaussavg(args) -> int:
     out = _out_dir(args)
-    cls = _estimate_class(args.cls, args)
+    cls = _class(args.cls)
     if args.cls == "composed-sine":
+        if not args.indices:
+            raise DomainError("--cls composed-sine needs --indices")
         sample = [int(i) for i in args.indices.split(",")]
+    elif not args.points:
+        raise DomainError(f"--cls {args.cls} needs --points")
     elif args.cls == "singleton":
         pts = _parse_points(args.points)
         ys = _parse_points(args.y_points) if args.y_points else pts
@@ -149,7 +144,7 @@ def cmd_gaussavg(args) -> int:
 def cmd_realizability(args) -> int:
     out = _out_dir(args)
     instance = _load_instance(args)
-    cls = _connection_class(args.cls)
+    cls = _class(args.cls, connection=True)
     sample = draw_unlabeled(instance, args.T, args.m, _seed(args))
     xs, ys = sample.pooled_xy()
     report = complexity.approximate_realizability(cls, xs.reshape(-1), ys)
@@ -159,7 +154,7 @@ def cmd_realizability(args) -> int:
 
 
 def _fit_classes(args):
-    connection = _connection_class(args.connection)
+    connection = _class(args.connection, connection=True)
     predictors = {"singleton": SineSingletonClass(),
                   "boolean-lookup": BooleanLookupClass(),
                   "sign-complete": SignCompleteClass()}
@@ -194,7 +189,7 @@ def cmd_fit_unimodal(args) -> int:
     seed = _seed(args)
     labeled = draw_labeled(instance, 1, args.n, seed)
     xz = [(o.x[0], o.z) for o in labeled.tasks[0]]
-    cls = _estimate_class(args.cls, args)
+    cls = _class(args.cls)
     solution = erm.fit_unimodal(xz, cls, CLIPPED_ABS, grid_points=args.grid)
     data = solution.to_json()
     data["sample"] = sample_envelope(labeled, seed)
@@ -247,7 +242,7 @@ def cmd_bound(args) -> int:
 def cmd_gap(args) -> int:
     out = _out_dir(args)
     instance = _load_instance(args) or make_sine(0.7, support=args.support)
-    cls = _estimate_class(args.cls, args)
+    cls = _class(args.cls)
     report = analysis.heterogeneity_gap(instance, cls, SineSingletonClass(),
                                         n=args.n, draws=args.draws,
                                         resamples=args.resamples,
@@ -458,7 +453,7 @@ def main(argv=None) -> int:
         argv = _apply_config_defaults(parser, argv)
         args = parser.parse_args(argv)
         code = args.func(args)
-    except (DomainError, ValueError, OSError) as err:
+    except (ModalgapError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
     if getattr(args, "json", False):

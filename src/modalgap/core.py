@@ -17,23 +17,28 @@ from typing import Optional
 import numpy as np
 
 
-class InvalidInputError(ValueError):
+class ModalgapError(Exception):
+    """Common base of the lab's own errors; the CLI maps it to exit code 1.
+    Each subclass also keeps a builtin base that says what kind it is."""
+
+
+class InvalidInputError(ModalgapError, ValueError):
     """Non-finite or malformed numeric input."""
 
 
-class DomainError(ValueError):
+class DomainError(ModalgapError, ValueError):
     """Parameter outside the declared domain of a family or operation."""
 
 
-class DegenerateDataError(ValueError):
+class DegenerateDataError(ModalgapError, ValueError):
     """Data admits no well-posed fit (e.g. every regressor is zero)."""
 
 
-class SingularityError(ArithmeticError):
+class SingularityError(ModalgapError, ArithmeticError):
     """Evaluation at a pole of a hypothesis, e.g. sin(1/y) at y = 0."""
 
 
-class UnsupportedClassError(TypeError):
+class UnsupportedClassError(ModalgapError, TypeError):
     """No oracle or sub-oracle registered for this hypothesis class."""
 
 
@@ -177,15 +182,6 @@ class LabeledMultiSample:
     @property
     def n(self) -> int:
         return len(self.tasks[0])
-
-    def x_matrix(self, t: int) -> np.ndarray:
-        return np.array([o.x for o in self.tasks[t]])
-
-    def y_matrix(self, t: int) -> np.ndarray:
-        return np.array([o.y for o in self.tasks[t]])
-
-    def z_vector(self, t: int) -> np.ndarray:
-        return np.array([o.z for o in self.tasks[t]])
 
     def pooled(self) -> list:
         return [o for block in self.tasks for o in block]

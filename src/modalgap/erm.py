@@ -45,8 +45,13 @@ class MultimodalSolution:
 
 @dataclass(frozen=True, eq=False)
 class UnimodalSolution:
+    """Fitted x-only member and its mean loss.  path names how the minimum
+    was found: "exact-lad", "enumeration-exact" or "grid-upper-bound" (an
+    upper bound on the true minimum, at the recorded grid resolution)."""
+
     member: object
     objective: float
+    path: str
     grid_resolution: Optional[float] = None
 
     def to_json(self) -> dict:
@@ -210,7 +215,7 @@ def fit_unimodal(xz_pairs, cls, loss: Loss = CLIPPED_ABS,
 
     Scaling fits use the exact weighted-median solver when the loss is plain
     absolute; 1-D parametric families otherwise go through the recorded-
-    resolution grid search.
+    resolution grid search; finite connection classes are enumerated.
     """
     xs = np.array([p[0] for p in xz_pairs], dtype=float).reshape(-1)
     zs = np.array([p[1] for p in xz_pairs], dtype=float).reshape(-1)
@@ -225,7 +230,8 @@ def fit_unimodal(xz_pairs, cls, loss: Loss = CLIPPED_ABS,
         theta = fit_scaling_lad(xs, zs, signed=cls.signed)
         member = ScalingConnection(theta)
         objective = float(np.mean(np.abs(theta * xs - zs)))
-        return UnimodalSolution(member=member, objective=objective)
+        return UnimodalSolution(member=member, objective=objective,
+                                path="exact-lad")
 
     if isinstance(cls, ScalingClass):
         def objective(thetas):
@@ -233,6 +239,7 @@ def fit_unimodal(xz_pairs, cls, loss: Loss = CLIPPED_ABS,
             return _clipped_mean_losses(preds, zs, loss)
         theta, val = _grid_erm(objective, grid_points, refine)
         return UnimodalSolution(member=ScalingConnection(theta), objective=val,
+                                path="grid-upper-bound",
                                 grid_resolution=1.0 / grid_points)
 
     if isinstance(cls, ComposedSineClass):
@@ -241,16 +248,19 @@ def fit_unimodal(xz_pairs, cls, loss: Loss = CLIPPED_ABS,
             return _clipped_mean_losses(preds, zs, loss)
         theta, val = _grid_erm(objective, grid_points, refine)
         return UnimodalSolution(member=SineComposition(theta), objective=val,
+                                path="grid-upper-bound",
                                 grid_resolution=1.0 / grid_points)
 
-    if hasattr(cls, "members"):
+    # connection members are maps of x; predictor members also need y
+    if hasattr(cls, "members") and hasattr(cls, "fit_connection"):
         best = None
         for member in cls.members():
             preds = np.asarray(member.map(xs), dtype=float).reshape(-1)
             val = float(_clipped_mean_losses(preds, zs, loss))
             if best is None or val < best[1]:
                 best = (member, val)
-        return UnimodalSolution(member=best[0], objective=best[1])
+        return UnimodalSolution(member=best[0], objective=best[1],
+                                path="enumeration-exact")
 
     raise UnsupportedClassError(f"no unimodal ERM for {cls!r}")
 

@@ -185,17 +185,13 @@ class SineComposition:
 
 
 # ---------------------------------------------------------------------------
-# evaluation wrappers
+# evaluation wrapper
 
 
 def eval_connection(member, x):
     if isinstance(member, PolynomialConnection):
         return member.map_one(x)
     return member.map(x)
-
-
-def eval_predictor(member, x, y) -> float:
-    return member.predict(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +282,22 @@ class _BooleanMapOracle(SupOracle):
         s1 = float(sigma[self.mask1].sum())
         member = BooleanConnection((int(s0 > 0), int(s1 > 0)))
         return Witness(value=max(s0, 0.0) + max(s1, 0.0), member=member)
+
+
+class _SignCompleteOracle(SupOracle):
+    """sup over [-bound, bound]^n of sigma . f is bound * sum |sigma_i|,
+    attained at the vertex f = bound * sign(sigma)."""
+
+    def __init__(self, size: int, bound: float):
+        self.size = size
+        self.exact = True
+        self.bound = bound
+
+    def batch(self, sigma):
+        return self.bound * np.abs(sigma).sum(axis=1)
+
+    def witness(self, sigma):
+        return Witness(value=self.bound * float(np.abs(sigma).sum()))
 
 
 class _PatternOracle(SupOracle):
@@ -670,14 +682,14 @@ class BooleanLookupClass:
 
 @dataclass(frozen=True)
 class SignCompleteClass:
-    """All maps of a finite sample into [-bound, bound].
+    """All maps of a finite sample of distinct points into [-bound, bound].
 
-    The per-draw supremum over the hypercube is attained at a vertex, so the
-    oracle enumerates the 2^n sign patterns (exact, n <= 20).
+    The per-draw supremum over the hypercube is attained at the vertex
+    bound * sign(sigma), so the oracle returns bound * sum |sigma_i| in
+    closed form for any number of points.
     """
 
     bound: float = 1.0
-    max_points: int = 20
 
     def fit_predictor(self, observations, loss: Loss, truth=None):
         points = []
@@ -694,16 +706,12 @@ class SignCompleteClass:
         if points.ndim == 1:
             points = points.reshape(-1, 1)
         n = points.shape[0]
-        if n > self.max_points:
-            raise DomainError(f"pattern enumeration capped at {self.max_points} points")
         if len({row.tobytes() for row in points}) != n:
             raise DomainError("sample points must be distinct")
         return n
 
     def sup_oracle(self, sample):
-        n = self._check(sample)
-        patterns = self.bound * np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
-        return _PatternOracle(patterns, exact=True)
+        return _SignCompleteOracle(self._check(sample), self.bound)
 
     def closed_form_gaussian(self, sample):
         n = self._check(sample)

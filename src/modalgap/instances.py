@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import DomainError, Observation, UnlabeledPair
+from .core import DomainError, ModalgapError, Observation, UnlabeledPair
 from . import shatter
 from .shatter import (ShatterCertificate, certificate_from_json,
                       certificate_to_json, lattice_multiplier, lattice_point)
@@ -483,11 +483,20 @@ def instance_to_json(instance) -> dict:
     raise UnsupportedFamily(instance)
 
 
-class UnsupportedFamily(TypeError):
-    pass
+class UnsupportedFamily(ModalgapError, TypeError):
+    """An instance family the lab cannot write to or read from JSON."""
 
 
 def instance_from_json(data: dict):
+    try:
+        return _instance_from_json(data)
+    except UnsupportedFamily:
+        raise
+    except (KeyError, TypeError) as err:   # a missing field, or not an object
+        raise DomainError(f"malformed instance JSON: {err!r}") from err
+
+
+def _instance_from_json(data: dict):
     family = data["family"]
     if family == "sine":
         support = data.get("support")

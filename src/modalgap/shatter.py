@@ -174,11 +174,6 @@ def construct(signs: Sequence[int], convention: str = "sine-sign",
     return cert
 
 
-def witness_theta(cert: ShatterCertificate) -> float:
-    """theta = 1/(2*pi*c), always in (0, 1] since c > 1."""
-    return cert.theta
-
-
 def _frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 

@@ -217,3 +217,12 @@ def test_bound_scaling_mini_grid():
     assert report.dominance_fraction == 1.0
     assert report.term2_slope == pytest.approx(-1.0, abs=1e-9)
     assert report.term4_slope == pytest.approx(-0.5, abs=1e-9)
+
+
+def test_bound_scaling_rejects_grid_without_two_sizes():
+    # one size cell leaves nothing to regress the rates on
+    with pytest.raises(DomainError):
+        bound_scaling_experiment(ns=(64,), ms=(256,), Ts=(4,), seeds=2, seed=SEED)
+    # two n*T values but a single m*T value
+    with pytest.raises(DomainError):
+        bound_scaling_experiment(ns=(4, 16), ms=(64,), Ts=(1,), seeds=1, seed=SEED)

@@ -1,6 +1,7 @@
 """CLI wiring: outputs, determinism, and exit codes."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -115,6 +116,41 @@ def test_config_file_supplies_defaults(tmp_path):
                  "--out", str(tmp_path / "override")])
     assert code == 0
     assert read(tmp_path / "override" / "certificate.json")["signs"] == [1, 1]
+
+
+SINE_8 = instance_to_json(make_sine(0.7, support=8))
+
+
+@pytest.mark.parametrize("instance, argv", [
+    ({"family": "nope"}, ["fit-multimodal"]),
+    ({}, ["fit-multimodal"]),
+    ([], ["fit-multimodal"]),
+    (SINE_8, ["fit-unimodal", "--cls", "singleton"]),
+    (SINE_8, ["fit-unimodal", "--cls", "sign-complete"]),
+    (SINE_8, ["gap", "--cls", "singleton", "--resamples", "2", "--draws", "100"]),
+    (None, ["gaussavg", "--cls", "composed-sine"]),
+    (None, ["gaussavg", "--cls", "scaling"]),
+], ids=["unknown-family", "no-family", "not-an-object", "fit-unimodal-singleton",
+        "fit-unimodal-sign-complete", "gap-singleton",
+        "gaussavg-no-indices", "gaussavg-no-points"])
+def test_lab_errors_exit_one(tmp_path, capsys, instance, argv):
+    if instance is not None:
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(instance))
+        argv = argv + ["--instance", str(path)]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+    assert "error" in capsys.readouterr().err
+
+
+def test_gaussavg_sign_complete_beyond_twenty_points(tmp_path):
+    out = tmp_path / "g"
+    points = ",".join(str(i / 21) for i in range(21))
+    code = main(["gaussavg", "--cls", "sign-complete", "--points", points,
+                 "--draws", "500", "--out", str(out)])
+    assert code == 0
+    est = read(out / "estimate.json")
+    assert est["mode"] == "enumeration-exact"
+    assert est["closed_form"] == pytest.approx(21 * math.sqrt(2.0 / math.pi))
 
 
 def test_unknown_subcommand_exits_nonzero():

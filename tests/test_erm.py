@@ -136,11 +136,18 @@ def test_unimodal_finite_class_enumeration():
     sol = fit_unimodal(list(zip(xs, zs)), BooleanMapClass(), CLIPPED_ABS)
     assert sol.member.table == (1, 0)
     assert sol.objective == 0.0
+    assert sol.path == "enumeration-exact"
 
 
 def test_unimodal_rejects_singleton():
     with pytest.raises(UnsupportedClassError):
         fit_unimodal([(0.5, 0.1)], SineSingletonClass(), CLIPPED_ABS)
+
+
+def test_unimodal_rejects_lookup_predictors():
+    # boolean lookup members read y, so none of them is a map of x alone
+    with pytest.raises(UnsupportedClassError):
+        fit_unimodal([(0.0, 1.0), (1.0, 0.0)], BooleanLookupClass(), CLIPPED_ABS)
 
 
 def test_stage1_degeneracy_carries_stage_tag():

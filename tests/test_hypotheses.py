@@ -15,7 +15,7 @@ from modalgap.hypotheses import (BooleanMapClass,
                                  SineSingletonClass,
                                  SmoothedHyperplaneClass,
                                  TableLookupClass, eval_connection,
-                                 eval_predictor, fit_boolean_table,
+                                 fit_boolean_table,
                                  fit_polynomial_connection, fit_scaling_lad,
                                  fit_scaling_lad_exact, measured_lipschitz,
                                  sup_witness)
@@ -34,7 +34,7 @@ def grid_lad_oracle(xs, ys, step=1e-4):
 
 def test_eval_examples():
     assert eval_connection(ScalingConnection(0.5), 0.8) == 0.4
-    assert eval_predictor(SinePredictor(), [0.1], [2.0 / math.pi]) == pytest.approx(1.0)
+    assert SinePredictor().predict([0.1], [2.0 / math.pi]) == pytest.approx(1.0)
     cls = SmoothedHyperplaneClass(dim=2, epsilon=0.1)
     member = cls.member(np.array([1.0, 0.0]), 0.0)
     assert member.predict([0.05], [0.7]) == pytest.approx(0.5)  # 0.05/max(0.05, 0.1)
@@ -42,7 +42,7 @@ def test_eval_examples():
 
 def test_sine_singularity():
     with pytest.raises(SingularityError):
-        eval_predictor(SinePredictor(), [0.1], [0.0])
+        SinePredictor().predict([0.1], [0.0])
 
 
 def test_lad_frozen_examples():

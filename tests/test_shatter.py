@@ -14,8 +14,7 @@ import pytest
 from modalgap.shatter import (construct,
                               certificate_from_json, certificate_to_json,
                               certificate_table_rows, frac_exact,
-                              lattice_multiplier, lattice_point,
-                              witness_theta)
+                              lattice_multiplier, lattice_point)
 
 SQRT_HALF = math.sqrt(2.0) / 2.0
 
@@ -102,7 +101,7 @@ def test_interval_convention_realizes_opposite_signs():
 
 def test_witness_theta_value_and_range():
     cert = construct([-1], convention="interval")
-    assert witness_theta(cert) == pytest.approx(1.0 / (25.0 * math.pi), rel=1e-12)
+    assert cert.theta == pytest.approx(1.0 / (25.0 * math.pi), rel=1e-12)
     assert cert.entries[0].sine == pytest.approx(0.98078528, abs=1e-7)
     # the paper-style sign pairing fails here while sine-sign matches
     assert abs(cert.entries[0].sine - (-1)) > 0.5
@@ -111,11 +110,11 @@ def test_witness_theta_value_and_range():
 
     for n in (1, 3, 6):
         cert = construct([1] * n)
-        assert 0.0 < witness_theta(cert) <= 1.0
+        assert 0.0 < cert.theta <= 1.0
 
 
 def test_theta_shrinks_with_depth():
-    thetas = [witness_theta(construct([1] * n)) for n in (1, 2, 4, 8)]
+    thetas = [construct([1] * n).theta for n in (1, 2, 4, 8)]
     assert all(a > b for a, b in zip(thetas, thetas[1:]))
 
 
