@@ -2,12 +2,11 @@
 instances, Monte Carlo complexity estimates, and the separation experiments
 built on them."""
 
-from .core import (ABSOLUTE, CLIPPED_ABS, DegenerateDataError, DomainError,
-                   InvalidInputError, LabeledMultiSample, Loss, ModalgapError,
-                   Observation, SeedSpec, SingularityError,
-                   UnlabeledMultiSample, UnlabeledPair, UnsupportedClassError,
-                   draw_labeled, draw_unlabeled, loss_eval, sample_from_csv,
-                   sample_hash, sample_to_csv)
+from .core import (ABSOLUTE, CLIPPED_ABS, Block, DegenerateDataError,
+                   DomainError, InvalidInputError, Loss, ModalgapError,
+                   MultiSample, SeedSpec, SingularityError,
+                   UnsupportedClassError, draw_labeled, draw_unlabeled,
+                   loss_eval, sample_from_csv, sample_hash, sample_to_csv)
 from .instances import (BooleanInstance, SeparableInstance, SineInstance,
                         SubspaceInstance, ThreeParamInstance,
                         instance_from_json, instance_to_json, make_boolean,

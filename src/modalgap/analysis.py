@@ -15,11 +15,10 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
-from .core import (CLIPPED_ABS, ABSOLUTE, DomainError, Loss, SeedSpec,
-                   SingularityError, UnsupportedClassError, draw_labeled,
-                   draw_unlabeled, loss_eval)
+from .core import (CLIPPED_ABS, ABSOLUTE, DomainError, Loss, MultiSample,
+                   SeedSpec, SingularityError, UnsupportedClassError,
+                   draw_labeled, draw_unlabeled, loss_eval)
 from .complexity import ComplexityEstimate, gaussian_average
 from .erm import (UnimodalSolution,
                   fit_multimodal, fit_unimodal)
@@ -68,67 +67,73 @@ def _predict_from_x(member, x: float) -> float:
     raise UnsupportedClassError(f"cannot predict from x with {member!r}")
 
 
-def _composed_prediction(connection, predictor, instance, obs) -> float:
-    """Prediction of predictor(x, g(x)) at one support point, routed through
+def _composed_prediction(connection, predictor, instance, block, i) -> float:
+    """Prediction of predictor(x, g(x)) at row i of a block, routed through
     exact range reduction when both sides carry exact parameters."""
     if (isinstance(instance, SineInstance) and instance.witness is not None
             and isinstance(predictor, SinePredictor)
             and getattr(connection, "c_exact", None) is not None
-            and obs.support_index is not None):
-        index = instance.support[obs.support_index]
+            and block.support_index is not None):
+        index = instance.support[block.support_index[i]]
         f = frac_exact(connection.c_exact, lattice_multiplier(index))
         return math.sin(TWO_PI * float(f))
-    x = obs.x
+    x = block.x[i]
     y_hat = np.atleast_1d(eval_connection(connection, x[0]))
     return predictor.predict(x, y_hat)
 
 
-def _solution_prediction(solution, t: int, instance, obs) -> float:
+def _solution_prediction(solution, t: int, instance, block, i) -> float:
     try:
         if isinstance(solution, UnimodalSolution):
-            return _predict_from_x(solution.member, obs.x[0])
+            return _predict_from_x(solution.member, block.x[i, 0])
         predictors = solution.predictors
         member = predictors[t] if t < len(predictors) else predictors[0]
-        return _composed_prediction(solution.connection, member, instance, obs)
+        return _composed_prediction(solution.connection, member, instance, block, i)
     except SingularityError as err:
-        raise SingularityError(f"{err} at support point x={obs.x[0]!r}") from err
+        raise SingularityError(f"{err} at support point x={block.x[i, 0]!r}") from err
 
 
-def _truth_prediction(instance, obs) -> float:
-    """f*(x, y) evaluation for the sine singleton, using the certified value
-    on witness-backed supports."""
-    if isinstance(instance, SineInstance) and obs.support_index is not None:
-        return instance._z_floats[obs.support_index]
-    y = obs.y[0]
-    if y == 0.0:
+def _truth_predictions(instance, block) -> list:
+    """f*(x, y) evaluations of the sine singleton on a block, using the
+    certified values on lattice supports."""
+    if isinstance(instance, SineInstance) and block.support_index is not None:
+        return instance._z_floats[block.support_index].tolist()
+    ys = block.y[:, 0].tolist()
+    if 0.0 in ys:
         raise SingularityError("sin(1/y) undefined at y = 0")
-    return math.sin(1.0 / y)
+    return [math.sin(1.0 / y) for y in ys]
 
 
-def comparator_task_risk(instance, t: int, cls, loss: Loss, points):
-    """Exact best-in-class risk of predictors seeing both modalities."""
+def _losses(loss: Loss, preds, zs) -> list:
+    return [loss_eval(loss, pred, z) for pred, z in zip(preds, zs.tolist())]
+
+
+def _uniform_risk(losses) -> Fraction:
+    """Exact mean of the pointwise losses: the risk under the uniform law on
+    the rows they were evaluated at."""
+    p = Fraction(1, len(losses))
+    total = Fraction(0)
+    for value in losses:
+        total += p * Fraction(value)
+    return total
+
+
+def comparator_task_risk(instance, t: int, cls, loss: Loss, block):
+    """Exact best-in-class risk of predictors seeing both modalities, under
+    the uniform law on the rows of a labeled block."""
     if isinstance(cls, SineSingletonClass):
-        total = Fraction(0)
-        for prob, obs in points:
-            total += Fraction(prob) * Fraction(loss_eval(loss, _truth_prediction(instance, obs), obs.z))
-        return total
+        return _uniform_risk(_losses(loss, _truth_predictions(instance, block), block.z))
     if isinstance(cls, BooleanLookupClass):
-        best = None
+        risks = []
         for member in cls.members():
-            total = Fraction(0)
-            for prob, obs in points:
-                total += Fraction(prob) * Fraction(loss_eval(loss, member.predict(obs.x, obs.y), obs.z))
-            if best is None or total < best:
-                best = total
-        return best
+            preds = [member.predict(x, y) for x, y in zip(block.x, block.y)]
+            risks.append(_uniform_risk(_losses(loss, preds, block.z)))
+        return min(risks)
     if isinstance(cls, SignCompleteClass):
         # every map is in the class, so the pointwise best value clip(z) is
         # also the population minimizer
-        total = Fraction(0)
-        for prob, obs in points:
-            pred = min(max(obs.z, -cls.bound), cls.bound)
-            total += Fraction(prob) * Fraction(loss_eval(loss, pred, obs.z))
-        return total
+        preds = [min(max(z, -cls.bound), cls.bound) for z in block.z.tolist()]
+        return _uniform_risk(_losses(loss, preds, block.z))
     if isinstance(cls, XOnlyPredictorClass):
         value, _, _ = best_unimodal_population_risk(instance, cls.inner, loss,
                                                     task=t)
@@ -161,19 +166,15 @@ def excess_risk(solution, instance, comparator_cls=None, loss: Loss = CLIPPED_AB
     spreads = []
     for t in range(T):
         if mode == "exact-finite-support":
-            points = instance.support_enumeration(t)
+            block = instance.support_enumeration(t)
         else:
             block = instance.draw_labeled_task(
                 seed.child("risk-mc", t).generator(), t, mc_points)
-            points = [(Fraction(1, len(block)), obs) for obs in block]
-        risk = Fraction(0)
-        losses = []
-        for prob, obs in points:
-            pred = _solution_prediction(solution, t, instance, obs)
-            value = loss_eval(loss, pred, obs.z)
-            losses.append(value)
-            risk += Fraction(prob) * Fraction(value)
-        comp = comparator_task_risk(instance, t, comparator_cls, loss, points)
+        preds = [_solution_prediction(solution, t, instance, block, i)
+                 for i in range(len(block))]
+        losses = _losses(loss, preds, block.z)
+        risk = _uniform_risk(losses)
+        comp = comparator_task_risk(instance, t, comparator_cls, loss, block)
         exact_risks.append(risk)
         exact_comps.append(comp)
         task_risks.append(float(risk))
@@ -204,14 +205,11 @@ def best_unimodal_population_risk(instance, cls, loss: Loss,
     Every finite support in the lab carries a uniform law, so the sample ERM
     on the support points, each listed once, is the population minimizer.
     """
-    points = instance.support_enumeration(task)
-    if points is None:
+    block = instance.support_enumeration(task)
+    if block is None:
         raise DomainError("population risk needs a finite support")
-    if len({prob for prob, _ in points}) != 1:
-        raise DomainError("population risk needs a uniform support law")
-    xz = [(obs.x[0], obs.z) for _, obs in points]
-    solution = fit_unimodal(xz, cls, loss, grid_points=grid_points,
-                            refine=False)
+    solution = fit_unimodal(np.column_stack((block.x[:, 0], block.z)), cls,
+                            loss, grid_points=grid_points, refine=False)
     return solution.objective, solution.member, solution.path
 
 
@@ -294,13 +292,11 @@ class GapReport:
 
 def _class_average_on_sample(cls, instance, block, draws, seed, workers):
     """Inner complexity estimate; lattice classes consume support indices."""
-    xs = np.array([o.x[0] for o in block])
-    ys = np.array([o.y for o in block])
+    xs, ys = block.x[:, 0], block.y
     if isinstance(cls, ComposedSineClass):
-        positions = [o.support_index for o in block]
-        if any(p is None for p in positions):
+        if block.support_index is None:
             raise DomainError("composed sine oracle needs lattice draws")
-        indices = [instance.support[p] for p in positions]
+        indices = [instance.support[p] for p in block.support_index.tolist()]
         return gaussian_average(cls, indices, draws=draws, seed=seed,
                                 workers=workers)
     if isinstance(cls, (SineSingletonClass, XOnlyPredictorClass)):
@@ -321,6 +317,8 @@ def heterogeneity_gap(instance, unimodal_cls, predictor_cls, n: int,
     (exact where the class admits it; the composed-sine grid value is an
     upper bound on the true best risk and is tagged in components).
     """
+    if resamples < 1:
+        raise DomainError("the gap needs at least one resample")
     g_terms = []
     f_terms = []
     for r in range(resamples):
@@ -343,12 +341,12 @@ def heterogeneity_gap(instance, unimodal_cls, predictor_cls, n: int,
     diffs = np.array(g_terms) - np.array(f_terms)
     stderr = float(diffs.std(ddof=1) / math.sqrt(resamples)) if resamples > 1 else 0.0
 
-    points = instance.support_enumeration(0)
-    if points is None:
+    support = instance.support_enumeration(0)
+    if support is None:
         raise DomainError("gap risks need a finite-support instance")
     g_risk, _, g_method = best_unimodal_population_risk(
         instance, unimodal_cls, loss, grid_points=grid_points)
-    f_risk = float(comparator_task_risk(instance, 0, predictor_cls, loss, points))
+    f_risk = float(comparator_task_risk(instance, 0, predictor_cls, loss, support))
 
     h = (g_avg + g_risk) - (f_avg + f_risk)
     intrinsic = g_risk - f_risk
@@ -421,6 +419,8 @@ def unimodal_failure_experiment(n: int, trials: int, seed: SeedSpec,
     """Draw shattered lattice distributions (support size m = n^3), run the
     unimodal grid ERM and the two-stage fit on the same trials, and report
     excess risks plus the duplicate-free-sample frequency."""
+    if n < 1 or trials < 1:
+        raise DomainError("n and trials must be at least 1")
     m = m if m is not None else n ** 3
     unlabeled_m = unlabeled_m if unlabeled_m is not None else n
     uni = np.empty(trials)
@@ -437,11 +437,11 @@ def unimodal_failure_experiment(n: int, trials: int, seed: SeedSpec,
 
         labeled = draw_labeled(instance, 1, n, root)
         unlabeled = draw_unlabeled(instance, 1, unlabeled_m, root)
-        positions = labeled.support_indices(0)
-        dupfree[trial] = len(set(positions)) == len(positions)
+        block = labeled.tasks[0]
+        dupfree[trial] = len(np.unique(block.support_index)) == n
 
-        xz = [(o.x[0], o.z) for o in labeled.tasks[0]]
-        tilde = fit_unimodal(xz, composed, loss, grid_points=grid_points)
+        tilde = fit_unimodal(np.column_stack((block.x[:, 0], block.z)), composed,
+                             loss, grid_points=grid_points)
         uni[trial] = excess_risk(tilde, instance, singleton, loss).excess
 
         solution = fit_multimodal(labeled, unlabeled, scaling, singleton, loss)
@@ -546,6 +546,8 @@ def realizability_necessity_experiment(n: int, T: int, trials: int,
     every trial.  R is enumerated exactly each trial and cross-checked
     against the group-count closed form.
     """
+    if n < 1 or T < 1 or trials < 1:
+        raise DomainError("n, T and trials must be at least 1")
     nT = n * T
     r_threshold = 0.5 - 4.0 * math.sqrt(3.0) / math.sqrt(nT)
     count_threshold = 3.0 * math.sqrt(nT)
@@ -561,8 +563,7 @@ def realizability_necessity_experiment(n: int, T: int, trials: int,
                        for i in table_rng.integers(0, 2, size=T))
         instance = make_boolean(tables)
         sample = draw_labeled(instance, T, n, root)
-        xs = np.array([o.x[0] for o in sample.pooled()], dtype=int)
-        ys = np.array([o.y[0] for o in sample.pooled()], dtype=int)
+        xs, ys = (column[:, 0].astype(int) for column in sample.pooled_xy())
 
         r_exact = boolean_realizability_exact(xs, ys)
         if r_exact != boolean_count_formula(xs, ys):
@@ -614,6 +615,8 @@ def representation_comparison(n: int, k: int, seed: SeedSpec,
                               workers: int = 1) -> ReprComparisonReport:
     """Paired complexity estimates behind the sqrt(n) representation-learning
     separation; both use the same draw streams so the ratio is paired."""
+    if n < 1:
+        raise DomainError("the comparison needs at least one point")
     if n > k:
         raise DomainError("shattering needs n <= k")
     eps = epsilon if epsilon is not None else 1.0 / (10.0 * math.sqrt(k))
@@ -662,26 +665,24 @@ class SeparabilityReport:
 
 
 def separability_check(instance: SeparableInstance, sample) -> SeparabilityReport:
-    """Zero-error linear feasibility on (x, y) plus the x-axis crossing count.
+    """Zero-error linear feasibility on (x, y) plus the x-axis crossing count,
+    on a labeled block or the first task of a labeled sample.
 
     The crossing count of the labels along sorted x equals the number of
     interior fixed points of the connection whenever the sample touches
     every inter-fixed-point interval.
     """
-    if isinstance(sample, (list, tuple)):
-        block = list(sample)
-    else:
-        block = list(sample.tasks[0])
+    block = sample.tasks[0] if isinstance(sample, MultiSample) else sample
     interior = len(instance.fixed_points) - 2
-    if not block:
+    if len(block) == 0:
         return SeparabilityReport(separable=True, separator=(1.0, -1.0, 0.0),
                                   margin=math.inf, canonical_margin=math.inf,
                                   crossings=0, interior_fixed_points=interior)
-    xs = np.array([o.x[0] for o in block])
-    ys = np.array([o.y[0] for o in block])
-    zs = np.array([o.z for o in block])
+    xs, ys, zs = block.x[:, 0], block.y[:, 0], block.z
 
     canonical = float(np.min(zs * (xs - ys)))
+
+    from scipy.optimize import linprog   # about 50 MB; loaded where it is used
 
     # maximize the margin gamma subject to z(w1 x + w2 y + b) >= gamma,
     # box-bounded weights; strictly positive optimum means separable

@@ -188,9 +188,10 @@ def cmd_fit_unimodal(args) -> int:
     instance = _load_instance(args)
     seed = _seed(args)
     labeled = draw_labeled(instance, 1, args.n, seed)
-    xz = [(o.x[0], o.z) for o in labeled.tasks[0]]
+    block = labeled.tasks[0]
     cls = _class(args.cls)
-    solution = erm.fit_unimodal(xz, cls, CLIPPED_ABS, grid_points=args.grid)
+    solution = erm.fit_unimodal(np.column_stack((block.x[:, 0], block.z)), cls,
+                                CLIPPED_ABS, grid_points=args.grid)
     data = solution.to_json()
     data["sample"] = sample_envelope(labeled, seed)
     _write_json(out / "solution.json", data)
@@ -305,7 +306,11 @@ def _apply_config_defaults(parser, argv):
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
+    if idx + 1 == len(argv) or argv[idx + 1].startswith("--"):
+        raise DomainError("--config needs the path of a JSON file")
     config = json.loads(Path(argv[idx + 1]).read_text())
+    if not isinstance(config, dict):
+        raise DomainError("--config must name a JSON object")
     cleaned = argv[:idx] + argv[idx + 2:]
     command = cleaned[0] if cleaned else config.get("command")
     extra = []

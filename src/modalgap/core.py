@@ -1,4 +1,4 @@
-"""Observations, multitask samples, losses, and seeded sampling.
+"""Columnar multitask samples, losses, and seeded sampling.
 
 Everything here is immutable after construction, and sampling is a pure
 function of (instance, counts, seed): identical seeds give byte-identical
@@ -113,67 +113,71 @@ class SeedSpec:
         return SeedSpec(int(data["root"]), tuple(data.get("path", ())))
 
 
-def _as_vector(v) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(v, dtype=np.float64))
-    if arr.ndim != 1:
-        raise InvalidInputError("observation coordinates must be 1-D vectors")
+def _column(values, dtype, what: str, ndim: int) -> np.ndarray:
+    try:
+        arr = np.array(values, dtype=dtype)
+    except ValueError as err:          # ragged or non-numeric entries
+        raise DomainError(f"block column {what} is malformed: {err}") from err
+    if ndim == 2 and arr.ndim == 1:
+        arr = arr.reshape(-1, 1)       # one coordinate per point
+    if arr.ndim != ndim:
+        raise DomainError(f"block column {what} must be {ndim}-D, got shape {arr.shape}")
+    if dtype is np.float64 and not np.all(np.isfinite(arr)):
+        raise InvalidInputError(f"block column {what} has non-finite entries")
+    arr.flags.writeable = False
     return arr
 
 
 @dataclass(frozen=True, eq=False)
-class Observation:
-    """One (x, y, z) triple; x and y are float64 vectors, z a scalar label."""
+class Block:
+    """One task's n points as read-only columns: x (n, q), y (n, k), labels
+    z (n,) or None for an unlabeled block, and support positions (n,) or
+    None when the points come from a continuous law.  A 1-D x or y is read
+    as one coordinate per point."""
 
     x: np.ndarray
     y: np.ndarray
-    z: float
-    support_index: Optional[int] = None
+    z: Optional[np.ndarray] = None
+    support_index: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _as_vector(self.x))
-        object.__setattr__(self, "y", _as_vector(self.y))
-        object.__setattr__(self, "z", float(self.z))
-        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))
-                and math.isfinite(self.z)):
-            raise InvalidInputError("observation has non-finite entries")
+        columns = {"x": _column(self.x, np.float64, "x", 2),
+                   "y": _column(self.y, np.float64, "y", 2)}
+        if self.z is not None:
+            columns["z"] = _column(self.z, np.float64, "z", 1)
+        if self.support_index is not None:
+            columns["support_index"] = _column(self.support_index, np.int64,
+                                               "support_index", 1)
+        if len({len(col) for col in columns.values()}) != 1:
+            raise DomainError("block columns must have one row per point")
+        for name, col in columns.items():
+            object.__setattr__(self, name, col)
 
-    def in_unit_ball(self, tol: float = 1e-12) -> bool:
-        return (np.linalg.norm(self.x) <= 1 + tol
-                and np.linalg.norm(self.y) <= 1 + tol)
+    def __len__(self) -> int:
+        return len(self.x)
 
 
 @dataclass(frozen=True, eq=False)
-class UnlabeledPair:
-    """An (x, y) pair with the label withheld by construction."""
-
-    x: np.ndarray
-    y: np.ndarray
-    support_index: Optional[int] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", _as_vector(self.x))
-        object.__setattr__(self, "y", _as_vector(self.y))
-        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
-            raise InvalidInputError("pair has non-finite entries")
-
-
-def _check_blocks(tasks, what):
-    if len(tasks) < 1:
-        raise DomainError(f"{what} needs at least one task block")
-    sizes = {len(block) for block in tasks}
-    if len(sizes) != 1 or min(sizes) < 1:
-        raise DomainError(f"{what} blocks must be nonempty and equal-length")
-
-
-@dataclass(frozen=True, eq=False)
-class LabeledMultiSample:
-    """T task blocks of n labeled observations each."""
+class MultiSample:
+    """T task blocks of n points each; labeled when the blocks carry z."""
 
     tasks: tuple
     instance: object = None
 
     def __post_init__(self):
-        _check_blocks(self.tasks, "labeled sample")
+        tasks = tuple(self.tasks)
+        if len(tasks) < 1:
+            raise DomainError("sample needs at least one task block")
+        if len({len(block) for block in tasks}) != 1 or len(tasks[0]) < 1:
+            raise DomainError("sample blocks must be nonempty and equal-length")
+        shapes = {(b.x.shape[1], b.y.shape[1], b.z is None) for b in tasks}
+        if len(shapes) != 1:
+            raise DomainError("sample blocks must share dimensions and labeling")
+        object.__setattr__(self, "tasks", tasks)
+
+    @property
+    def labeled(self) -> bool:
+        return self.tasks[0].z is not None
 
     @property
     def T(self) -> int:
@@ -183,46 +187,9 @@ class LabeledMultiSample:
     def n(self) -> int:
         return len(self.tasks[0])
 
-    def pooled(self) -> list:
-        return [o for block in self.tasks for o in block]
-
     def pooled_xy(self):
-        obs = self.pooled()
-        return np.array([o.x for o in obs]), np.array([o.y for o in obs])
-
-    def support_indices(self, t: int):
-        idx = [o.support_index for o in self.tasks[t]]
-        return None if any(i is None for i in idx) else idx
-
-
-@dataclass(frozen=True, eq=False)
-class UnlabeledMultiSample:
-    """T task blocks of m unlabeled (x, y) pairs each."""
-
-    tasks: tuple
-    instance: object = None
-
-    def __post_init__(self):
-        _check_blocks(self.tasks, "unlabeled sample")
-
-    @property
-    def T(self) -> int:
-        return len(self.tasks)
-
-    @property
-    def m(self) -> int:
-        return len(self.tasks[0])
-
-    def pooled(self) -> list:
-        return [p for block in self.tasks for p in block]
-
-    def pooled_xy(self):
-        pairs = self.pooled()
-        return np.array([p.x for p in pairs]), np.array([p.y for p in pairs])
-
-    def support_indices(self, t: int):
-        idx = [p.support_index for p in self.tasks[t]]
-        return None if any(i is None for i in idx) else idx
+        return (np.concatenate([b.x for b in self.tasks]),
+                np.concatenate([b.y for b in self.tasks]))
 
 
 def _check_task_count(instance, T):
@@ -231,69 +198,69 @@ def _check_task_count(instance, T):
         raise DomainError(f"instance defines {fixed} tasks, got T={T}")
 
 
-def draw_labeled(instance, T: int, n: int, seed: SeedSpec) -> LabeledMultiSample:
-    """Draw T iid task blocks of n labeled observations."""
+def draw_labeled(instance, T: int, n: int, seed: SeedSpec) -> MultiSample:
+    """Draw T iid task blocks of n labeled points."""
     if T < 1 or n < 1:
         raise DomainError("T and n must be at least 1")
     _check_task_count(instance, T)
-    tasks = tuple(
-        tuple(instance.draw_labeled_task(seed.child("labeled", t).generator(), t, n))
-        for t in range(T)
-    )
-    return LabeledMultiSample(tasks=tasks, instance=instance)
+    tasks = tuple(instance.draw_labeled_task(seed.child("labeled", t).generator(), t, n)
+                  for t in range(T))
+    return MultiSample(tasks=tasks, instance=instance)
 
 
-def draw_unlabeled(instance, T: int, m: int, seed: SeedSpec) -> UnlabeledMultiSample:
-    """Draw T iid task blocks of m unlabeled pairs, independent of any labeled draw."""
+def draw_unlabeled(instance, T: int, m: int, seed: SeedSpec) -> MultiSample:
+    """Draw T iid task blocks of m unlabeled pairs, independent of any labeled
+    draw: a labeled draw on its own stream with the labels dropped."""
     if T < 1 or m < 1:
         raise DomainError("T and m must be at least 1")
     _check_task_count(instance, T)
-    tasks = tuple(
-        tuple(instance.draw_unlabeled_task(seed.child("unlabeled", t).generator(), t, m))
-        for t in range(T)
-    )
-    return UnlabeledMultiSample(tasks=tasks, instance=instance)
+    tasks = []
+    for t in range(T):
+        block = instance.draw_labeled_task(seed.child("unlabeled", t).generator(), t, m)
+        tasks.append(Block(block.x, block.y, support_index=block.support_index))
+    return MultiSample(tasks=tuple(tasks), instance=instance)
 
 
-def sample_to_csv(sample) -> str:
+def sample_to_csv(sample: MultiSample) -> str:
     """Columnar CSV: task, index, x..., y..., z (z only for labeled samples)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    first = sample.tasks[0][0]
-    q, k = len(first.x), len(first.y)
-    labeled = isinstance(sample, LabeledMultiSample)
+    first = sample.tasks[0]
+    q, k = first.x.shape[1], first.y.shape[1]
     header = (["task", "index"] + [f"x{i}" for i in range(q)]
-              + [f"y{i}" for i in range(k)] + (["z"] if labeled else []))
+              + [f"y{i}" for i in range(k)] + (["z"] if sample.labeled else []))
     writer.writerow(header)
     for t, block in enumerate(sample.tasks):
-        for i, point in enumerate(block):
-            row = ([t, i] + [repr(float(v)) for v in point.x]
-                   + [repr(float(v)) for v in point.y])
-            if labeled:
-                row.append(repr(float(point.z)))
-            writer.writerow(row)
+        columns = [block.x, block.y]
+        if sample.labeled:
+            columns.append(block.z.reshape(-1, 1))
+        rows = np.hstack(columns).tolist()
+        writer.writerows([t, i] + [repr(v) for v in row]
+                         for i, row in enumerate(rows))
     return buf.getvalue()
 
 
-def sample_from_csv(text: str, labeled: bool):
-    """Inverse of sample_to_csv; instance provenance is not restored."""
+def sample_from_csv(text: str) -> MultiSample:
+    """Inverse of sample_to_csv; a z column in the header marks a labeled
+    sample.  Instance provenance is not restored."""
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
+    header = next(reader, None)
+    if header is None:
+        raise DomainError("empty sample CSV")
     q = sum(1 for h in header if h.startswith("x"))
     k = sum(1 for h in header if h.startswith("y"))
-    blocks = {}
+    labeled = "z" in header
+    rows = {}
     for row in reader:
-        t = int(row[0])
-        x = [float(v) for v in row[2:2 + q]]
-        y = [float(v) for v in row[2 + q:2 + q + k]]
-        if labeled:
-            point = Observation(x=x, y=y, z=float(row[2 + q + k]))
-        else:
-            point = UnlabeledPair(x=x, y=y)
-        blocks.setdefault(t, []).append(point)
-    tasks = tuple(tuple(blocks[t]) for t in sorted(blocks))
-    cls = LabeledMultiSample if labeled else UnlabeledMultiSample
-    return cls(tasks=tasks)
+        if len(row) != len(header):
+            raise DomainError(f"CSV row has {len(row)} fields, header has {len(header)}")
+        rows.setdefault(int(row[0]), []).append([float(v) for v in row[2:]])
+    blocks = []
+    for t in sorted(rows):
+        values = np.array(rows[t], dtype=np.float64)
+        blocks.append(Block(x=values[:, :q], y=values[:, q:q + k],
+                            z=values[:, q + k] if labeled else None))
+    return MultiSample(tasks=tuple(blocks))
 
 
 def sample_hash(sample) -> str:
@@ -304,14 +271,13 @@ def sample_envelope(sample, seed: Optional[SeedSpec] = None) -> dict:
     """JSON sidecar recording instance parameters, sizes, and the seed."""
     from .instances import instance_to_json  # local import to avoid a cycle
 
-    labeled = isinstance(sample, LabeledMultiSample)
-    first = sample.tasks[0][0]
+    first = sample.tasks[0]
     env = {
-        "kind": "labeled" if labeled else "unlabeled",
+        "kind": "labeled" if sample.labeled else "unlabeled",
         "T": sample.T,
-        ("n" if labeled else "m"): len(sample.tasks[0]),
-        "q": len(first.x),
-        "k": len(first.y),
+        ("n" if sample.labeled else "m"): sample.n,
+        "q": first.x.shape[1],
+        "k": first.y.shape[1],
         "hash": sample_hash(sample),
     }
     if sample.instance is not None:

@@ -14,11 +14,9 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-from .core import (DegenerateDataError, DomainError, Loss, CLIPPED_ABS,
-                   LabeledMultiSample, UnlabeledMultiSample,
-                   UnsupportedClassError)
+from .core import (Block, DegenerateDataError, DomainError, Loss, CLIPPED_ABS,
+                   MultiSample, UnsupportedClassError)
 from .hypotheses import (BooleanMapClass, ComposedSineClass, ScalingClass,
                          ScalingConnection, SineComposition,
                          SineSingletonClass, fit_scaling_lad_exact)
@@ -82,19 +80,18 @@ class JointSolution:
 def _witness_backed(sample) -> bool:
     inst = sample.instance
     return (isinstance(inst, SineInstance) and inst.witness is not None
-            and all(sample.support_indices(t) is not None
-                    for t in range(sample.T)))
+            and all(block.support_index is not None for block in sample.tasks))
 
 
-def _stage1(unlabeled: UnlabeledMultiSample, connection_cls):
+def _stage1(unlabeled: MultiSample, connection_cls):
     """Pooled connection fit.  Witness-backed lattice samples go through the
     exact-rational LAD (the float emission of y loses the deep-lattice
     parameter, so recovery must happen on the exact side)."""
     if isinstance(connection_cls, ScalingClass) and _witness_backed(unlabeled):
         inst = unlabeled.instance
         pairs = []
-        for t in range(unlabeled.T):
-            pairs.extend(inst.exact_scaled_pairs(unlabeled.support_indices(t)))
+        for block in unlabeled.tasks:
+            pairs.extend(inst.exact_scaled_pairs(block.support_index))
         tau = fit_scaling_lad_exact(pairs)            # tau = 2*pi*theta exactly
         c_exact = Fraction(1, 1) / tau
         theta = float(tau) / (2.0 * math.pi)
@@ -111,23 +108,7 @@ def _stage1(unlabeled: UnlabeledMultiSample, connection_cls):
     return member, float(residuals.mean()), {"stage1": "float"}
 
 
-def _truth_lookup(labeled: LabeledMultiSample):
-    """Exact predictor-at-true-y values for witness-backed sine samples.
-
-    sin(1/y) at the emitted float y is meaningless for deep lattices; the
-    certified sine value after exact range reduction is the evaluation.
-    """
-    if not _witness_backed(labeled):
-        return None
-    inst = labeled.instance
-
-    def lookup(i, obs):
-        return inst._z_floats[obs.support_index]
-
-    return lookup
-
-
-def fit_multimodal(labeled: LabeledMultiSample, unlabeled: UnlabeledMultiSample,
+def fit_multimodal(labeled: MultiSample, unlabeled: MultiSample,
                    connection_cls, predictor_cls,
                    loss: Loss = CLIPPED_ABS) -> MultimodalSolution:
     """Two-stage ERM: connection on pooled unlabeled pairs, then one
@@ -137,19 +118,17 @@ def fit_multimodal(labeled: LabeledMultiSample, unlabeled: UnlabeledMultiSample,
     except (DegenerateDataError, DomainError) as err:
         raise type(err)(f"stage 1: {err}") from err
 
-    truth = None
-    if isinstance(predictor_cls, SineSingletonClass):
-        truth = _truth_lookup(labeled)
+    # sin(1/y) at the emitted float y is meaningless for deep lattices; on
+    # witness-backed samples the certified sine values are the evaluation
+    certified = (isinstance(predictor_cls, SineSingletonClass)
+                 and _witness_backed(labeled))
 
     predictors = []
     totals = []
-    for t in range(labeled.T):
-        block = labeled.tasks[t]
+    for t, block in enumerate(labeled.tasks):
+        truth = labeled.instance._z_floats[block.support_index] if certified else None
         try:
-            if truth is not None:
-                member, objective = predictor_cls.fit_predictor(block, loss, truth=truth)
-            else:
-                member, objective = predictor_cls.fit_predictor(block, loss)
+            member, objective = predictor_cls.fit_predictor(block, loss, truth=truth)
         except (DegenerateDataError, DomainError) as err:
             raise type(err)(f"stage 2, task {t}: {err}") from err
         predictors.append(member)
@@ -191,6 +170,9 @@ def _grid_erm(objective, grid_points: int, refine: bool):
             best_val = float(vals[j])
             best_theta = float(chunk[j])
     if refine:
+        # scipy.optimize costs about 50 MB to import; load it where it is used
+        from scipy.optimize import minimize_scalar
+
         lo = max(best_theta - 1.0 / grid_points, 1e-12)
         hi = min(best_theta + 1.0 / grid_points, 1.0)
         res = minimize_scalar(lambda t: float(objective(np.array([t]))[0]),
@@ -211,16 +193,17 @@ def _clipped_mean_losses(preds, zs, loss: Loss):
 
 def fit_unimodal(xz_pairs, cls, loss: Loss = CLIPPED_ABS,
                  grid_points: int = 100_000, refine: bool = True) -> UnimodalSolution:
-    """Single-modality ERM on (x, z) pairs.
+    """Single-modality ERM on (x, z) pairs, e.g. an (n, 2) array.
 
     Scaling fits use the exact weighted-median solver when the loss is plain
     absolute; 1-D parametric families otherwise go through the recorded-
     resolution grid search; finite connection classes are enumerated.
     """
-    xs = np.array([p[0] for p in xz_pairs], dtype=float).reshape(-1)
-    zs = np.array([p[1] for p in xz_pairs], dtype=float).reshape(-1)
+    xs, zs = np.asarray(xz_pairs, dtype=float).reshape(-1, 2).T.copy()
     if len(xs) == 0:
         raise DomainError("empty training data")
+    if grid_points < 1:
+        raise DomainError("the grid needs at least one point")
 
     if isinstance(cls, SineSingletonClass):
         raise UnsupportedClassError("sine singleton needs y, not x alone")
@@ -265,10 +248,11 @@ def fit_unimodal(xz_pairs, cls, loss: Loss = CLIPPED_ABS,
     raise UnsupportedClassError(f"no unimodal ERM for {cls!r}")
 
 
-def fit_joint(observations, connection_cls, predictor_cls,
+def fit_joint(labeled, connection_cls, predictor_cls,
               loss: Loss = CLIPPED_ABS, budget: int = 10**6,
               zero_tol: Optional[float] = None) -> JointSolution:
-    """Representation-style joint ERM from x-only labeled data.
+    """Representation-style joint ERM from x-only labeled data: a labeled
+    MultiSample, or one labeled Block.
 
     The connection is searched exhaustively (finite class) or on a grid
     (1-D class); predictors are fit exactly inside each candidate.  The
@@ -277,10 +261,9 @@ def fit_joint(observations, connection_cls, predictor_cls,
     grid resolution (an off-grid zero-loss parameter shows up at that
     scale), for finite classes to 1e-12.
     """
-    if isinstance(observations, LabeledMultiSample):
-        blocks = [list(b) for b in observations.tasks]
-    else:
-        blocks = [list(observations)]
+    if budget < 1:
+        raise DomainError("the budget must buy at least one evaluation")
+    blocks = labeled.tasks if isinstance(labeled, MultiSample) else (labeled,)
 
     exhausted = False
     if isinstance(connection_cls, BooleanMapClass):
@@ -310,8 +293,7 @@ def fit_joint(observations, connection_cls, predictor_cls,
         total = 0.0
         count = 0
         for block in blocks:
-            composed = [type(o)(x=o.x, y=np.atleast_1d(g.map(o.x[0])), z=o.z)
-                        for o in block]
+            composed = Block(block.x, g.map(block.x[:, 0]), block.z)
             member, objective = predictor_cls.fit_predictor(composed, loss)
             members.append(member)
             total += objective * len(block)

@@ -609,6 +609,18 @@ class TableLookupClass:
 # predictor classes
 
 
+def _row_predictions(member, block) -> list:
+    return [member.predict(x, y) for x, y in zip(block.x, block.y)]
+
+
+def _total_loss(loss: Loss, preds, zs) -> float:
+    """Sum of pointwise losses, accumulated left to right."""
+    total = 0.0
+    for pred, z in zip(preds, zs.tolist()):
+        total += loss_eval(loss, pred, z)
+    return total
+
+
 @dataclass(frozen=True)
 class SineSingletonClass:
     """The singleton {f(x, y) = sin(1/y)}.
@@ -621,13 +633,12 @@ class SineSingletonClass:
     def member(self):
         return SinePredictor()
 
-    def fit_predictor(self, observations, loss: Loss, truth=None):
+    def fit_predictor(self, block, loss: Loss, truth=None):
+        """truth, when given, holds one prediction per point to use in place
+        of sin(1/y) (the certified values of a deep lattice)."""
         member = self.member()
-        total = 0.0
-        for i, o in enumerate(observations):
-            pred = truth(i, o) if truth is not None else member.predict(o.x, o.y)
-            total += loss_eval(loss, pred, o.z)
-        return member, total / len(observations)
+        preds = _row_predictions(member, block) if truth is None else truth
+        return member, _total_loss(loss, preds, block.z) / len(block)
 
     def sup_oracle(self, sample):
         xs, ys = sample
@@ -657,14 +668,13 @@ class BooleanLookupClass:
     def members(self):
         return [BooleanPredictor(t) for t in _ALL_TABLES]
 
-    def fit_predictor(self, observations, loss: Loss, truth=None):
+    def fit_predictor(self, block, loss: Loss, truth=None):
         best = None
         for member in self.members():
-            total = sum(loss_eval(loss, member.predict(o.x, o.y), o.z)
-                        for o in observations)
+            total = _total_loss(loss, _row_predictions(member, block), block.z)
             if best is None or total < best[0]:
                 best = (total, member)
-        return best[1], best[0] / len(observations)
+        return best[1], best[0] / len(block)
 
     def sup_oracle(self, sample):
         xs, ys = sample
@@ -691,15 +701,13 @@ class SignCompleteClass:
 
     bound: float = 1.0
 
-    def fit_predictor(self, observations, loss: Loss, truth=None):
-        points = []
-        for o in observations:
-            xb, yb = TabulatedPredictor._key(o.x, o.y)
-            points.append((xb, yb, float(np.clip(o.z, -self.bound, self.bound))))
-        member = TabulatedPredictor(tuple(points))
-        total = sum(loss_eval(loss, member.predict(o.x, o.y), o.z)
-                    for o in observations)
-        return member, total / len(observations)
+    def fit_predictor(self, block, loss: Loss, truth=None):
+        values = np.clip(block.z, -self.bound, self.bound).tolist()
+        member = TabulatedPredictor(tuple(
+            TabulatedPredictor._key(x, y) + (v,)
+            for x, y, v in zip(block.x, block.y, values)))
+        total = _total_loss(loss, _row_predictions(member, block), block.z)
+        return member, total / len(block)
 
     def _check(self, points):
         points = np.asarray(points, dtype=float)

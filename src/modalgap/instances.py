@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import DomainError, ModalgapError, Observation, UnlabeledPair
+from .core import Block, DomainError, ModalgapError
 from . import shatter
 from .shatter import (ShatterCertificate, certificate_from_json,
                       certificate_to_json, lattice_multiplier, lattice_point)
@@ -24,9 +24,10 @@ from .shatter import (ShatterCertificate, certificate_from_json,
 TWO_PI = 2.0 * math.pi
 
 
-def _strip(pairs_block):
-    return tuple(UnlabeledPair(x=o.x, y=o.y, support_index=o.support_index)
-                 for o in pairs_block)
+def _sin(values) -> np.ndarray:
+    """Elementwise math.sin: an emitted label equals the scalar re-evaluation
+    sin(1/y) of the predictors and the risk bit for bit on any platform."""
+    return np.array([math.sin(v) for v in np.asarray(values).tolist()])
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,12 +106,11 @@ class SineInstance:
     def _z_floats(self) -> np.ndarray:
         if self.witness is not None:
             return np.array([self.witness.entry_for(i).sine for i in self.support])
-        # math.sin keeps emission bit-identical with scalar re-evaluation
-        return np.array([math.sin(1.0 / y) for y in self._y_floats])
+        return _sin(1.0 / self._y_floats)
 
-    def point(self, pos: int) -> Observation:
-        return Observation(x=[self._x_floats[pos]], y=[self._y_floats[pos]],
-                           z=self._z_floats[pos], support_index=pos)
+    def _lattice_block(self, pos) -> Block:
+        return Block(x=self._x_floats[pos], y=self._y_floats[pos],
+                     z=self._z_floats[pos], support_index=pos)
 
     def exact_scaled_pairs(self, positions) -> list:
         """Exact (x, 2*pi*y) rational pairs for witness-backed supports.
@@ -132,20 +132,15 @@ class SineInstance:
         if self.continuous:
             x = 1.0 - rng.random(count)          # uniform on (0, 1]
             y = self.theta_star * x
-            return [Observation(x=[xi], y=[yi], z=math.sin(1.0 / yi))
-                    for xi, yi in zip(x, y)]
-        pos = rng.integers(0, len(self.support), size=count)
-        return [self.point(p) for p in pos]
-
-    def draw_unlabeled_task(self, rng, t, count):
-        return _strip(self.draw_labeled_task(rng, t, count))
+            return Block(x=x, y=y, z=_sin(1.0 / y))
+        return self._lattice_block(rng.integers(0, len(self.support), size=count))
 
     def support_enumeration(self, t: int):
-        """Exact uniform law over the finite support, or None if continuous."""
+        """The finite support as one labeled block, uniform over its rows;
+        None if the support is continuous."""
         if self.continuous:
             return None
-        p = Fraction(1, len(self.support))
-        return [(p, self.point(pos)) for pos in range(len(self.support))]
+        return self._lattice_block(np.arange(len(self.support)))
 
     def min_support_y(self) -> float:
         if self.continuous:
@@ -216,20 +211,14 @@ class ThreeParamInstance:
             t1[bad] = 1.0 + rng.random(int(bad.sum()))
             t2[bad] = -2.0 + rng.random(int(bad.sum()))
             bad = (c == 0.0) | (t1 + t2 == 0.0)
-        obs = []
-        for ci, a, b in zip(c, t1, t2):
-            x = ci * a
-            y = ci * b
-            z = math.sin(1.0 / (x + y)) if self.label_rule == "sine-of-sum" else x + y
-            obs.append(Observation(x=[x], y=[y], z=z))
-        return obs, np.stack([c, t1, t2], axis=1)
+        x = c * t1
+        y = c * t2
+        z = _sin(1.0 / (x + y)) if self.label_rule == "sine-of-sum" else x + y
+        return Block(x=x, y=y, z=z), np.stack([c, t1, t2], axis=1)
 
     def draw_labeled_task(self, rng, t, count):
-        obs, _ = self.draw_latent_task(rng, t, count)
-        return obs
-
-    def draw_unlabeled_task(self, rng, t, count):
-        return _strip(self.draw_labeled_task(rng, t, count))
+        block, _ = self.draw_latent_task(rng, t, count)
+        return block
 
     def support_enumeration(self, t):
         return None
@@ -239,7 +228,9 @@ def make_three_param(label_rule: str = "sine-of-sum") -> ThreeParamInstance:
     return ThreeParamInstance(label_rule=label_rule)
 
 
-_BOOL_PATTERNS = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
+# the four support points (x, y), in support-position order
+_BOOL_X = np.array([0.0, 1.0, 0.0, 1.0])
+_BOOL_Y = np.array([0, 0, 1, 1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,21 +256,17 @@ class BooleanInstance:
     def task_count(self) -> int:
         return len(self.tables)
 
-    def pattern(self, t: int, which: int) -> Observation:
-        x, y = _BOOL_PATTERNS[which]
-        z = float(self.tables[t][int(y)])
-        return Observation(x=[x], y=[y], z=z, support_index=which)
+    def _patterns(self, t: int, which) -> Block:
+        y = _BOOL_Y[which]
+        return Block(x=_BOOL_X[which], y=y, z=np.array(self.tables[t])[y],
+                     support_index=which)
 
     def draw_labeled_task(self, rng, t, count):
-        picks = rng.integers(0, 4, size=count)
-        return [self.pattern(t, int(w)) for w in picks]
-
-    def draw_unlabeled_task(self, rng, t, count):
-        return _strip(self.draw_labeled_task(rng, t, count))
+        return self._patterns(t, rng.integers(0, 4, size=count))
 
     def support_enumeration(self, t: int):
-        p = Fraction(1, 4)
-        return [(p, self.pattern(t, w)) for w in range(4)]
+        """The four support points as one labeled block, uniform over its rows."""
+        return self._patterns(t, np.arange(4))
 
 
 def make_boolean(tables) -> BooleanInstance:
@@ -333,14 +320,10 @@ class SubspaceInstance:
 
     def draw_labeled_task(self, rng, t, count):
         xs = rng.uniform(-1.0, 1.0, size=count)
-        obs = []
-        for x in xs:
-            y = x * self.v + self.y0
-            obs.append(Observation(x=[x], y=y, z=self.label_rule(x, y)))
-        return obs
-
-    def draw_unlabeled_task(self, rng, t, count):
-        return _strip(self.draw_labeled_task(rng, t, count))
+        ys = np.outer(xs, self.v) + self.y0
+        # the label rule is any map of one point (x, y)
+        zs = [self.label_rule(x, y) for x, y in zip(xs, ys)]
+        return Block(x=xs, y=ys, z=zs)
 
     def support_enumeration(self, t):
         return None
@@ -418,15 +401,8 @@ class SeparableInstance:
 
     def draw_labeled_task(self, rng, t, count):
         xs = rng.random(count)
-        obs = []
-        for x in xs:
-            y = float(self.f(x))
-            z = 1.0 if x >= y else -1.0
-            obs.append(Observation(x=[x], y=[y], z=z))
-        return obs
-
-    def draw_unlabeled_task(self, rng, t, count):
-        return _strip(self.draw_labeled_task(rng, t, count))
+        ys = self.f(xs)
+        return Block(x=xs, y=ys, z=np.where(xs >= ys, 1.0, -1.0))
 
     def support_enumeration(self, t):
         return None

@@ -70,7 +70,8 @@ def test_boolean_composition_excess_at_least_half():
 def test_unimodal_population_failure_on_shattered_support():
     inst = make_sine_shattered([1, -1, 1, -1, 1, -1, 1, -1])
     labeled = draw_labeled(inst, 1, 2, SEED)
-    xz = [(o.x[0], o.z) for o in labeled.tasks[0]]
+    block = labeled.tasks[0]
+    xz = np.column_stack((block.x[:, 0], block.z))
     tilde = fit_unimodal(xz, ComposedSineClass(), CLIPPED_ABS, grid_points=50_000)
     report = excess_risk(tilde, inst, SineSingletonClass())
     assert report.excess >= 0.2
@@ -197,6 +198,20 @@ def test_representation_comparison_small():
     assert rep1.collinear.value == rep1.adversarial.value
     with pytest.raises(DomainError):
         representation_comparison(n=5, k=4, seed=SEED)
+    with pytest.raises(DomainError):
+        representation_comparison(n=0, k=4, seed=SEED)
+
+
+def test_experiments_reject_empty_runs():
+    with pytest.raises(DomainError):
+        unimodal_failure_experiment(n=2, trials=0, seed=SEED)
+    with pytest.raises(DomainError):
+        realizability_necessity_experiment(n=8, T=2, trials=0, seed=SEED)
+    with pytest.raises(DomainError):
+        realizability_necessity_experiment(n=0, T=2, trials=3, seed=SEED)
+    with pytest.raises(DomainError):
+        heterogeneity_gap(make_sine(0.7, support=8), ComposedSineClass(),
+                          SineSingletonClass(), n=4, resamples=0)
 
 
 def test_separability_check():

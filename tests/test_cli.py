@@ -130,9 +130,18 @@ SINE_8 = instance_to_json(make_sine(0.7, support=8))
     (SINE_8, ["gap", "--cls", "singleton", "--resamples", "2", "--draws", "100"]),
     (None, ["gaussavg", "--cls", "composed-sine"]),
     (None, ["gaussavg", "--cls", "scaling"]),
+    (None, ["necessity", "--trials", "0"]),
+    (None, ["necessity", "--n", "0"]),
+    (SINE_8, ["fit-joint", "--budget", "0"]),
+    (None, ["separation", "--trials", "0"]),
+    (None, ["separation", "--n", "2", "--trials", "2", "--grid", "0"]),
+    (None, ["repr-compare", "--n", "0"]),
+    (None, ["gap", "--resamples", "0", "--draws", "50"]),
 ], ids=["unknown-family", "no-family", "not-an-object", "fit-unimodal-singleton",
         "fit-unimodal-sign-complete", "gap-singleton",
-        "gaussavg-no-indices", "gaussavg-no-points"])
+        "gaussavg-no-indices", "gaussavg-no-points", "necessity-no-trials",
+        "necessity-no-points", "fit-joint-no-budget", "separation-no-trials",
+        "separation-no-grid", "repr-compare-no-points", "gap-no-resamples"])
 def test_lab_errors_exit_one(tmp_path, capsys, instance, argv):
     if instance is not None:
         path = tmp_path / "instance.json"
@@ -140,6 +149,17 @@ def test_lab_errors_exit_one(tmp_path, capsys, instance, argv):
         argv = argv + ["--instance", str(path)]
     assert main(argv + ["--out", str(tmp_path / "o")]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [None, "[1, 2]"], ids=["no-path", "json-list"])
+def test_bad_config_exits_one(tmp_path, capsys, content):
+    argv = ["shatter", "--signs", "+-", "--config"]
+    if content is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(content)
+        argv.append(str(path))
+    assert main(argv) == 1
+    assert "--config" in capsys.readouterr().err
 
 
 def test_gaussavg_sign_complete_beyond_twenty_points(tmp_path):

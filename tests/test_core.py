@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from modalgap.core import (ABSOLUTE, CLIPPED_ABS, DomainError,
-                           InvalidInputError, LabeledMultiSample, Loss,
-                           Observation, SeedSpec, UnlabeledMultiSample,
+from modalgap.core import (ABSOLUTE, CLIPPED_ABS, Block, DomainError,
+                           InvalidInputError, Loss, MultiSample, SeedSpec,
                            draw_labeled, draw_unlabeled, loss_eval,
                            sample_from_csv, sample_hash, sample_to_csv,
                            sample_envelope)
@@ -63,20 +62,39 @@ def test_seed_spec_round_trip():
     assert SeedSpec.from_json(spec.to_json()) == spec
 
 
-def test_observation_validation():
-    obs = Observation(x=[0.5], y=[0.25], z=1.0)
-    assert obs.in_unit_ball()
+def test_block_validation():
+    block = Block(x=[0.5], y=[0.25], z=[1.0])
+    assert len(block) == 1
+    assert block.x.shape == (1, 1) and block.y.shape == (1, 1)
+    assert block.z.shape == (1,) and block.support_index is None
     with pytest.raises(InvalidInputError):
-        Observation(x=[float("nan")], y=[0.0], z=0.0)
-    assert not Observation(x=[1.5], y=[0.0], z=0.0).in_unit_ball()
+        Block(x=[float("nan")], y=[0.0], z=[0.0])
+    with pytest.raises(ValueError):
+        block.x[0, 0] = 2.0                      # columns are read-only
+
+
+def test_block_rejects_ragged_columns():
+    with pytest.raises(DomainError):
+        Block(x=[0.1, 0.2], y=[0.3], z=[1.0, 1.0])
+    with pytest.raises(DomainError):
+        Block(x=[[0.1], [0.2, 0.3]], y=[0.3, 0.4])
+    with pytest.raises(DomainError):
+        Block(x=[0.1], y=[0.2], support_index=[0, 1])
+    with pytest.raises(DomainError):
+        Block(x=np.zeros((2, 1, 1)), y=[0.1, 0.2])
 
 
 def test_sample_block_invariants():
-    obs = Observation(x=[0.5], y=[0.25], z=1.0)
+    block = Block(x=[0.5], y=[0.25], z=[1.0])
+    empty = Block(x=np.empty(0), y=np.empty(0), z=np.empty(0))
     with pytest.raises(DomainError):
-        LabeledMultiSample(tasks=((obs,), ()))
+        MultiSample(tasks=(block, empty))
     with pytest.raises(DomainError):
-        UnlabeledMultiSample(tasks=())
+        MultiSample(tasks=())
+    with pytest.raises(DomainError):
+        MultiSample(tasks=(block, Block(x=[0.5], y=[0.25])))
+    assert MultiSample(tasks=(block,)).labeled
+    assert not MultiSample(tasks=(Block(x=[0.5], y=[0.25]),)).labeled
 
 
 def test_draw_determinism():
@@ -105,26 +123,25 @@ def test_draw_counts_validated():
 def test_sine_draw_satisfies_connection():
     sample = draw_labeled(make_sine(0.5), 1, 3, SeedSpec(7))
     assert sample.n == 3
-    for o in sample.tasks[0]:
-        x, y = o.x[0], o.y[0]
+    block = sample.tasks[0]
+    for x, y, z in zip(block.x[:, 0], block.y[:, 0], block.z):
         assert y == 0.5 * x                      # exact: *0.5 is lossless
-        assert o.z == math.sin(2.0 / x)          # z = sin(1/y) = sin(2/x)
+        assert z == math.sin(2.0 / x)            # z = sin(1/y) = sin(2/x)
         assert 0.0 < x <= 1.0
 
 
 def test_unlabeled_sine_ratio_exact():
     sample = draw_unlabeled(make_sine(0.5), 1, 2, SeedSpec(3))
-    for p in sample.tasks[0]:
-        assert p.y[0] / p.x[0] == 0.5
+    block = sample.tasks[0]
+    assert block.z is None
+    assert np.all(block.y[:, 0] / block.x[:, 0] == 0.5)
 
 
 def test_boolean_pattern_frequencies():
     # exact uniform law over four patterns, checked by counting
     inst = make_boolean([(0, 1)])
     sample = draw_labeled(inst, 1, 400, SeedSpec(1))
-    counts = np.zeros(4)
-    for o in sample.tasks[0]:
-        counts[o.support_index] += 1
+    counts = np.bincount(sample.tasks[0].support_index, minlength=4)
     assert np.all(np.abs(counts / 400 - 0.25) < 0.05)
 
 
@@ -132,8 +149,8 @@ def test_subspace_pairs_lie_on_the_line():
     v = np.array([0.6, 0.0, -0.3])
     y0 = np.array([0.1, 0.2, 0.0])
     sample = draw_unlabeled(make_subspace(v, y0), 1, 5, SeedSpec(9))
-    for p in sample.tasks[0]:
-        shifted = p.y - y0
+    for y in sample.tasks[0].y:
+        shifted = y - y0
         # y - y0 is parallel to v
         cross = shifted - (shifted @ v) / (v @ v) * v
         assert np.linalg.norm(cross) < 1e-12
@@ -143,13 +160,19 @@ def test_csv_round_trip_and_hash():
     inst = make_sine(0.77)
     sample = draw_labeled(inst, 2, 4, SeedSpec(5))
     text = sample_to_csv(sample)
-    back = sample_from_csv(text, labeled=True)
+    back = sample_from_csv(text)
+    assert back.labeled
     assert sample_to_csv(back) == text
     assert sample_hash(back) == sample_hash(sample)
     unlabeled = draw_unlabeled(inst, 1, 4, SeedSpec(5))
     text_u = sample_to_csv(unlabeled)
     assert "z" not in text_u.splitlines()[0].split(",")
-    assert sample_to_csv(sample_from_csv(text_u, labeled=False)) == text_u
+    back_u = sample_from_csv(text_u)
+    assert not back_u.labeled
+    assert sample_to_csv(back_u) == text_u
+    for bad in ("", text_u.splitlines()[0] + "\n", text + "1,9,0.5\n"):
+        with pytest.raises(DomainError):
+            sample_from_csv(bad)
 
 
 def test_envelope_records_instance_and_seed():

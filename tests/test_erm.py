@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from modalgap.core import (ABSOLUTE, CLIPPED_ABS, SeedSpec, draw_labeled,
-                           draw_unlabeled, UnsupportedClassError)
+from modalgap.core import (ABSOLUTE, CLIPPED_ABS, Block, DomainError,
+                           MultiSample, SeedSpec, UnsupportedClassError,
+                           draw_labeled, draw_unlabeled)
 from modalgap.erm import (fit_joint, fit_multimodal, fit_unimodal,
                           predict_unimodal)
 from modalgap.hypotheses import (BooleanLookupClass, BooleanMapClass,
@@ -84,15 +85,19 @@ def test_stage_independence():
     unlabeled = draw_unlabeled(inst, 1, 8, SEED)
     sol = fit_multimodal(labeled, unlabeled, ScalingClass(), SineSingletonClass())
 
+    def rows(order):
+        block = unlabeled.tasks[0]
+        return MultiSample(tasks=(Block(block.x[order], block.y[order],
+                                        support_index=block.support_index[order]),),
+                           instance=unlabeled.instance)
+
     # permuting the unlabeled sample leaves the fitted connection unchanged
-    permuted = type(unlabeled)(tasks=(tuple(reversed(unlabeled.tasks[0])),),
-                               instance=unlabeled.instance)
+    permuted = rows(np.arange(8)[::-1])
     sol_p = fit_multimodal(labeled, permuted, ScalingClass(), SineSingletonClass())
     assert sol_p.connection.theta == sol.connection.theta
 
     # duplicating it twice changes nothing either
-    doubled = type(unlabeled)(tasks=(unlabeled.tasks[0] * 2,),
-                              instance=unlabeled.instance)
+    doubled = rows(np.tile(np.arange(8), 2))
     sol_d = fit_multimodal(labeled, doubled, ScalingClass(), SineSingletonClass())
     assert sol_d.connection.theta == sol.connection.theta
 
@@ -125,7 +130,8 @@ def test_unimodal_oscillatory_fit_small_training_loss():
     # that fit is large (checked in the analysis tests)
     inst = make_sine_shattered([1, -1, 1, -1, 1, -1, 1, -1])
     labeled = draw_labeled(inst, 1, 2, SEED)
-    xz = [(o.x[0], o.z) for o in labeled.tasks[0]]
+    block = labeled.tasks[0]
+    xz = np.column_stack((block.x[:, 0], block.z))
     sol = fit_unimodal(xz, ComposedSineClass(), CLIPPED_ABS, grid_points=100_000)
     assert sol.objective <= 0.25
 
@@ -151,10 +157,9 @@ def test_unimodal_rejects_lookup_predictors():
 
 
 def test_stage1_degeneracy_carries_stage_tag():
-    from modalgap.core import DegenerateDataError, Observation, UnlabeledPair
-    from modalgap.core import LabeledMultiSample, UnlabeledMultiSample
-    labeled = LabeledMultiSample(tasks=((Observation(x=[0.5], y=[0.2], z=0.1),),))
-    unlabeled = UnlabeledMultiSample(tasks=((UnlabeledPair(x=[0.0], y=[0.2]),),))
+    from modalgap.core import DegenerateDataError
+    labeled = MultiSample(tasks=(Block(x=[0.5], y=[0.2], z=[0.1]),))
+    unlabeled = MultiSample(tasks=(Block(x=[0.0], y=[0.2]),))
     with pytest.raises(DegenerateDataError, match="stage 1"):
         fit_multimodal(labeled, unlabeled, ScalingClass(), SineSingletonClass())
 
@@ -164,10 +169,9 @@ def test_joint_fit_tie_census():
     # theta = 1/(1+4k) puts the composed sine back on its maximum, so the
     # grid census finds several zero-loss parameters (theta = 1 and 0.2 are
     # exactly on the 100-point grid)
-    from modalgap.core import Observation
     x = 2.0 / math.pi
-    point = Observation(x=[x], y=[x], z=math.sin(1.0 / x))
-    sol = fit_joint([point], ScalingClass(), SineSingletonClass(),
+    point = Block(x=[x], y=[x], z=[math.sin(1.0 / x)])
+    sol = fit_joint(point, ScalingClass(), SineSingletonClass(),
                     CLIPPED_ABS, budget=100)
     assert sol.zero_loss_ties > 1
     assert sol.objective <= 1e-12
@@ -191,13 +195,19 @@ def test_joint_fit_budget_flag():
     assert sol.budget_exhausted
 
 
+def test_joint_fit_rejects_an_empty_budget():
+    labeled = draw_labeled(make_sine(0.5, support=4), 1, 8, SEED)
+    with pytest.raises(DomainError, match="budget"):
+        fit_joint(labeled, ScalingClass(), SineSingletonClass(), CLIPPED_ABS,
+                  budget=0)
+
+
 def test_joint_objective_audit():
     inst = make_sine(0.61, support=6)
     labeled = draw_labeled(inst, 1, 4, SEED)
     sol = fit_joint(labeled, ScalingClass(), SineSingletonClass(),
                     CLIPPED_ABS, budget=50_000)
-    xs = np.array([o.x[0] for o in labeled.tasks[0]])
-    zs = np.array([o.z for o in labeled.tasks[0]])
+    xs, zs = labeled.tasks[0].x[:, 0], labeled.tasks[0].z
     rng = np.random.default_rng(1)
     thetas = rng.uniform(1e-6, 1.0, size=10_000)
     objs = np.minimum(np.abs(np.sin(1.0 / np.outer(thetas, xs)) - zs), 1.0).mean(axis=1)

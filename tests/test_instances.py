@@ -36,28 +36,33 @@ def test_finite_support_exact_points():
 def test_sine_identity_connection():
     inst = make_sine(1.0)
     sample = draw_labeled(inst, 1, 4, SeedSpec(13))
-    for o in sample.tasks[0]:
-        assert o.y[0] == o.x[0]
-        assert o.z == math.sin(1.0 / o.x[0])
+    block = sample.tasks[0]
+    for x, y, z in zip(block.x[:, 0], block.y[:, 0], block.z):
+        assert y == x
+        assert z == math.sin(1.0 / x)
 
 
 def test_sine_draws_satisfy_equations_to_one_ulp():
     inst = make_sine(0.37, support=6)
     sample = draw_labeled(inst, 1, 64, SeedSpec(3))
-    for o in sample.tasks[0]:
-        assert abs(o.z - math.sin(1.0 / (0.37 * o.x[0]))) <= 1e-12
+    block = sample.tasks[0]
+    for x, z in zip(block.x[:, 0], block.z):
+        assert abs(z - math.sin(1.0 / (0.37 * x))) <= 1e-12
 
 
 def test_subset_instance_uniform_probabilities():
     inst = make_sine_subset([1, 2, 3, 4], 0.5)
-    points = inst.support_enumeration(0)
-    assert [p for p, _ in points] == [Fraction(1, 4)] * 4
+    # the law is uniform over the rows of the support block
+    support = inst.support_enumeration(0)
+    assert len(support) == 4
+    assert support.support_index.tolist() == [0, 1, 2, 3]
+    assert len(np.unique(support.x[:, 0])) == 4
 
 
 def test_single_index_point_mass():
     inst = make_sine_subset([5], 0.5)
     sample = draw_labeled(inst, 1, 10, SeedSpec(0))
-    xs = {o.x[0] for o in sample.tasks[0]}
+    xs = set(sample.tasks[0].x[:, 0].tolist())
     assert xs == {float(Fraction(16 ** 5, 16 ** 5 + 1))}
 
 
@@ -77,23 +82,23 @@ def test_shattered_instance_too_deep_rejected():
 def test_three_param_ratio_invariant():
     inst = make_three_param()
     rng = SeedSpec(21).child("latent").generator()
-    obs, latents = inst.draw_latent_task(rng, 0, 300)
-    for o, (c, t1, t2) in zip(obs, latents):
-        x, y = o.x[0], o.y[0]
+    block, latents = inst.draw_latent_task(rng, 0, 300)
+    for x, y, z, (c, t1, t2) in zip(block.x[:, 0], block.y[:, 0], block.z, latents):
         assert x == pytest.approx(c * t1)
         assert y == pytest.approx(c * t2)
         ratio = (x + y) / x
         assert ratio != 0.0
         assert 1 - 2 / t1 < ratio < 1 - 1 / t1
         assert -1.0 < ratio < 0.5  # union over the whole parameter box
-        assert o.z == math.sin(1.0 / (x + y))
+        assert z == math.sin(1.0 / (x + y))
 
 
 def test_three_param_raw_sum_labels():
     inst = make_three_param("raw-sum")
     sample = draw_labeled(inst, 1, 50, SeedSpec(4))
-    for o in sample.tasks[0]:
-        assert o.z == o.x[0] + o.y[0]
+    block = sample.tasks[0]
+    for x, y, z in zip(block.x[:, 0], block.y[:, 0], block.z):
+        assert z == x + y
     with pytest.raises(DomainError):
         make_three_param("other")
 
@@ -101,25 +106,27 @@ def test_three_param_raw_sum_labels():
 def test_boolean_constant_table_gives_constant_label():
     inst = make_boolean([(0, 0)])
     sample = draw_labeled(inst, 1, 100, SeedSpec(5))
-    assert all(o.z == 0.0 for o in sample.tasks[0])
+    assert all(z == 0.0 for z in sample.tasks[0].z)
 
 
 def test_boolean_label_balance_and_independence():
     # b(0)=0, b(1)=1: half the mass has z=1
     inst = make_boolean([(0, 1)])
-    points = inst.support_enumeration(0)
-    mass_z1 = sum(p for p, o in points if o.z == 1.0)
+    # (the law is uniform over the rows of the support block)
+    support = inst.support_enumeration(0)
+    p = Fraction(1, len(support))
+    mass_z1 = sum(p for z in support.z if z == 1.0)
     assert mass_z1 == Fraction(1, 2)
     # b(0)=1, b(1)=0: exact covariance of x and z is zero
     inst2 = make_boolean([(1, 0)])
     pts = inst2.support_enumeration(0)
-    e_x = sum(p * o.x[0] for p, o in pts)
-    e_z = sum(p * o.z for p, o in pts)
-    e_xz = sum(p * o.x[0] * o.z for p, o in pts)
+    p = Fraction(1, len(pts))
+    e_x = sum(p * x for x in pts.x[:, 0])
+    e_z = sum(p * z for z in pts.z)
+    e_xz = sum(p * x * z for x, z in zip(pts.x[:, 0], pts.z))
     assert e_xz - e_x * e_z == 0
     sample = draw_labeled(inst2, 1, 4000, SeedSpec(6))
-    xs = np.array([o.x[0] for o in sample.tasks[0]])
-    zs = np.array([o.z for o in sample.tasks[0]])
+    xs, zs = sample.tasks[0].x[:, 0], sample.tasks[0].z
     assert abs(np.corrcoef(xs, zs)[0, 1]) < 3.0 / math.sqrt(4000)
 
 
@@ -133,8 +140,8 @@ def test_boolean_validation():
 def test_subspace_constant_connection():
     inst = make_subspace(np.zeros(3), np.array([0.1, 0.0, 0.2]))
     sample = draw_labeled(inst, 1, 8, SeedSpec(7))
-    for o in sample.tasks[0]:
-        assert np.array_equal(o.y, np.array([0.1, 0.0, 0.2]))
+    for y in sample.tasks[0].y:
+        assert np.array_equal(y, np.array([0.1, 0.0, 0.2]))
 
 
 def test_subspace_validation():
@@ -168,9 +175,9 @@ def test_separable_fixed_points_exact():
 def test_separable_labels_match_sign_rule():
     inst = make_separable_from_fixed_points([0, Fraction(1, 2), 1])
     sample = draw_labeled(inst, 1, 200, SeedSpec(8))
-    for o in sample.tasks[0]:
-        x, y = o.x[0], o.y[0]
-        assert o.z == (1.0 if x >= y else -1.0)
+    block = sample.tasks[0]
+    for x, y, z in zip(block.x[:, 0], block.y[:, 0], block.z):
+        assert z == (1.0 if x >= y else -1.0)
         assert y == pytest.approx(float(inst.f_exact(Fraction(x))), abs=1e-12)
 
 
@@ -191,7 +198,7 @@ def test_instance_json_round_trips():
         T = getattr(inst, "task_count", None) or 1
         sample_a = draw_labeled(inst, T, 6, SeedSpec(77))
         sample_b = draw_labeled(back, T, 6, SeedSpec(77))
-        for oa, ob in zip(sample_a.tasks[0], sample_b.tasks[0]):
-            assert np.array_equal(oa.x, ob.x)
-            assert np.array_equal(oa.y, ob.y)
-            assert oa.z == ob.z
+        block_a, block_b = sample_a.tasks[0], sample_b.tasks[0]
+        assert np.array_equal(block_a.x, block_b.x)
+        assert np.array_equal(block_a.y, block_b.y)
+        assert np.array_equal(block_a.z, block_b.z)

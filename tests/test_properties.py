@@ -1,8 +1,10 @@
-"""Differential properties: closed forms and the shared ERM against brute force.
+"""Differential properties: closed forms and the shared ERM against brute
+force, and the columnar sample format.
 
 The sign-complete oracle is checked against the 2^n vertex enumeration it
 replaces, and the population risk (the sample ERM on the uniform support)
-against a direct minimization written out here.
+against a direct minimization written out here.  Samples survive the CSV
+round trip with their hash and arrays, and blocks reject malformed columns.
 """
 
 import itertools
@@ -15,9 +17,14 @@ from hypothesis import given, settings, strategies as st
 
 from modalgap.analysis import best_unimodal_population_risk
 from modalgap.complexity import gaussian_average, gaussian_average_closed_form
-from modalgap.core import ABSOLUTE, CLIPPED_ABS, DomainError, SeedSpec
+from modalgap.core import (ABSOLUTE, CLIPPED_ABS, Block, DomainError,
+                           InvalidInputError, SeedSpec, draw_labeled,
+                           draw_unlabeled, sample_from_csv, sample_hash,
+                           sample_to_csv)
 from modalgap.hypotheses import BooleanMapClass, ScalingClass, SignCompleteClass
-from modalgap.instances import make_boolean, make_sine
+from modalgap.instances import (make_boolean, make_separable_from_fixed_points,
+                                make_sine, make_sine_shattered, make_subspace,
+                                make_three_param)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -62,10 +69,10 @@ def test_exact_lad_population_risk_matches_breakpoint_scan(theta, support, signe
     value, member, path = best_unimodal_population_risk(
         inst, ScalingClass(signed=signed), ABSOLUTE)
     assert path == "exact-lad"
-    points = inst.support_enumeration(0)
-    xs = np.array([obs.x[0] for _, obs in points])
-    zs = np.array([obs.z for _, obs in points])
-    probs = np.array([float(p) for p, _ in points])
+    # the law is uniform over the rows of the support block
+    support = inst.support_enumeration(0)
+    xs, zs = support.x[:, 0], support.z
+    probs = np.full(len(support), float(Fraction(1, len(support))))
     # the risk is convex and piecewise linear in theta, so its minimum over
     # the clamped domain sits at a clamped breakpoint z_i / x_i
     brute = min(float(np.sum(probs * np.abs(_clamped(r, signed) * xs - zs)))
@@ -87,9 +94,64 @@ def test_boolean_population_risk_matches_exact_table_enumeration(tables, data):
     value, member, path = best_unimodal_population_risk(
         inst, BooleanMapClass(), CLIPPED_ABS, task=task)
     assert path == "enumeration-exact"
-    points = inst.support_enumeration(task)
-    risks = {table: sum(Fraction(p) * abs(table[int(obs.x[0])] - Fraction(obs.z))
-                        for p, obs in points)
+    support = inst.support_enumeration(task)
+    p = Fraction(1, len(support))
+    risks = {table: sum(p * abs(table[int(x)] - Fraction(z))
+                        for x, z in zip(support.x[:, 0], support.z))
              for table in _TABLES}
     assert Fraction(value) == min(risks.values())
     assert risks[member.table] == min(risks.values())
+
+
+FAMILIES = {
+    "sine-continuous": lambda: make_sine(0.37),
+    "sine-lattice": lambda: make_sine(0.7, support=9),
+    "sine-witness": lambda: make_sine_shattered([1, -1, -1, 1, 1, -1]),
+    "boolean": lambda: make_boolean(((0, 1), (1, 0), (1, 1))),
+    "separable": lambda: make_separable_from_fixed_points(
+        [0, Fraction(3, 10), Fraction(7, 10), 1]),
+    "three-param": lambda: make_three_param("sine-of-sum"),
+    "subspace": lambda: make_subspace([0.6, 0.0, 0.8], [0.1, 0.0, 0.2]),
+}
+
+
+@PROPERTY
+@given(family=st.sampled_from(sorted(FAMILIES)), T=st.integers(1, 3),
+       n=st.integers(1, 20), seed=st.integers(0, 2**32 - 1),
+       labeled=st.booleans())
+def test_csv_round_trip_keeps_hash_and_arrays(family, T, n, seed, labeled):
+    instance = FAMILIES[family]()
+    T = getattr(instance, "task_count", None) or T
+    draw = draw_labeled if labeled else draw_unlabeled
+    sample = draw(instance, T, n, SeedSpec(seed))
+    back = sample_from_csv(sample_to_csv(sample))
+    assert sample_hash(back) == sample_hash(sample)
+    assert back.labeled == labeled and (back.T, back.n) == (sample.T, sample.n)
+    for a, b in zip(sample.tasks, back.tasks):
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+        assert (a.z is None) == (b.z is None)
+        assert a.z is None or np.array_equal(a.z, b.z)
+
+
+_COLUMN = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6)
+
+
+@PROPERTY
+@given(x=_COLUMN, bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+       where=st.sampled_from(["x", "y", "z"]), data=st.data())
+def test_block_rejects_non_finite_entries(x, bad, where, data):
+    columns = {"x": list(x), "y": list(x), "z": list(x)}
+    columns[where][data.draw(st.integers(0, len(x) - 1))] = bad
+    with pytest.raises(InvalidInputError):
+        Block(**columns)
+
+
+@PROPERTY
+@given(x=_COLUMN, extra=st.integers(1, 3),
+       where=st.sampled_from(["y", "z", "support_index"]))
+def test_block_rejects_ragged_columns(x, extra, where):
+    columns = {"x": list(x), "y": list(x), "z": list(x),
+               "support_index": list(range(len(x)))}
+    columns[where] = columns[where] + columns[where][:1] * extra
+    with pytest.raises(DomainError):
+        Block(**columns)
