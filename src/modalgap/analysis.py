@@ -28,7 +28,7 @@ from .hypotheses import (BooleanLookupClass, ComposedSineClass, ScalingClass,
                          eval_connection)
 from .instances import (BooleanInstance, SeparableInstance, SineInstance,
                         make_boolean, make_sine, make_sine_shattered)
-from .shatter import TWO_PI, frac_exact, lattice_multiplier
+from .shatter import lattice_sine
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -75,8 +75,7 @@ def _composed_prediction(connection, predictor, instance, block, i) -> float:
             and getattr(connection, "c_exact", None) is not None
             and block.support_index is not None):
         index = instance.support[block.support_index[i]]
-        f = frac_exact(connection.c_exact, lattice_multiplier(index))
-        return math.sin(TWO_PI * float(f))
+        return lattice_sine(connection.c_exact, index)
     x = block.x[i]
     y_hat = np.atleast_1d(eval_connection(connection, x[0]))
     return predictor.predict(x, y_hat)
@@ -204,10 +203,16 @@ def best_unimodal_population_risk(instance, cls, loss: Loss,
 
     Every finite support in the lab carries a uniform law, so the sample ERM
     on the support points, each listed once, is the population minimizer.
+    A class with a population_risk method (sign-complete, which holds every
+    map of the support) answers for itself.
     """
     block = instance.support_enumeration(task)
     if block is None:
         raise DomainError("population risk needs a finite support")
+    population_risk = getattr(cls, "population_risk", None)
+    if population_risk is not None:
+        risk, member = population_risk(block.x[:, 0], block.z, loss)
+        return risk, member, "enumeration-exact"
     solution = fit_unimodal(np.column_stack((block.x[:, 0], block.z)), cls,
                             loss, grid_points=grid_points, refine=False)
     return solution.objective, solution.member, solution.path

@@ -286,18 +286,28 @@ class _BooleanMapOracle(SupOracle):
 
 class _SignCompleteOracle(SupOracle):
     """sup over [-bound, bound]^n of sigma . f is bound * sum |sigma_i|,
-    attained at the vertex f = bound * sign(sigma)."""
+    attained at the vertex f = bound * sign(sigma).
 
-    def __init__(self, size: int, bound: float):
-        self.size = size
+    Copies of one point share a value, so with repeated points the sum runs
+    over the groups of copies: bound * sum_g |sum_{i in g} sigma_i|.  The
+    group sums are one 0/1 matrix product; distinct points skip it.
+    """
+
+    def __init__(self, slot: np.ndarray, groups: int, bound: float):
+        self.size = len(slot)
         self.exact = True
         self.bound = bound
+        self._incidence = (None if groups == self.size else
+                           (slot[:, None] == np.arange(groups)).astype(float))
+
+    def _group_sums(self, sigma):
+        return sigma if self._incidence is None else sigma @ self._incidence
 
     def batch(self, sigma):
-        return self.bound * np.abs(sigma).sum(axis=1)
+        return self.bound * np.abs(self._group_sums(sigma)).sum(axis=1)
 
     def witness(self, sigma):
-        return Witness(value=self.bound * float(np.abs(sigma).sum()))
+        return Witness(value=self.bound * float(np.abs(self._group_sums(sigma)).sum()))
 
 
 class _PatternOracle(SupOracle):
@@ -692,11 +702,12 @@ class BooleanLookupClass:
 
 @dataclass(frozen=True)
 class SignCompleteClass:
-    """All maps of a finite sample of distinct points into [-bound, bound].
+    """All maps of the distinct points of a finite sample into [-bound, bound].
 
     The per-draw supremum over the hypercube is attained at the vertex
     bound * sign(sigma), so the oracle returns bound * sum |sigma_i| in
-    closed form for any number of points.
+    closed form for any number of points.  Copies of one point (resamples
+    drawn with replacement) share a value, so their sigmas are summed first.
     """
 
     bound: float = 1.0
@@ -709,25 +720,57 @@ class SignCompleteClass:
         total = _total_loss(loss, _row_predictions(member, block), block.z)
         return member, total / len(block)
 
-    def _check(self, points):
+    @staticmethod
+    def _slots(points):
+        """Group index of each point (first-seen order) and the group count."""
         points = np.asarray(points, dtype=float)
         if points.ndim == 1:
             points = points.reshape(-1, 1)
-        n = points.shape[0]
-        if len({row.tobytes() for row in points}) != n:
-            raise DomainError("sample points must be distinct")
-        return n
+        groups = {}
+        slot = np.array([groups.setdefault(row.tobytes(), len(groups))
+                         for row in points], dtype=int)
+        return slot, len(groups)
+
+    @classmethod
+    def _group_sizes(cls, points):
+        slot, groups = cls._slots(points)
+        return np.bincount(slot, minlength=groups).tolist()
+
+    def population_risk(self, xs, zs, loss: Loss):
+        """Best risk of x-only prediction under the uniform law on the rows
+        (xs, zs), as (risk, member): each distinct x takes its own value.
+
+        The loss is piecewise linear in the value with convex kinks only at
+        the labels, so a group's minimum sits at a clipped label or a bound.
+        """
+        groups = {}
+        for x, z in zip(xs.tolist(), zs.tolist()):
+            groups.setdefault(x, []).append(z)
+        total = 0.0
+        mapping = []
+        for x, labels in groups.items():
+            candidates = {min(max(z, -self.bound), self.bound) for z in labels}
+            group_loss, value = min(
+                (sum(loss_eval(loss, v, z) for z in labels), v)
+                for v in sorted(candidates | {-self.bound, self.bound}))
+            total += group_loss
+            mapping.append((x, value))
+        return total / len(xs), TableConnection(tuple(mapping))
 
     def sup_oracle(self, sample):
-        return _SignCompleteOracle(self._check(sample), self.bound)
+        return _SignCompleteOracle(*self._slots(sample), self.bound)
 
     def closed_form_gaussian(self, sample):
-        n = self._check(sample)
-        return self.bound * n * SQRT_2_OVER_PI
+        """bound * sqrt(2/pi) * sum_g sqrt(|g|): sum_{i in g} g_i ~ N(0, |g|)."""
+        root_sizes = sum(math.sqrt(k) for k in self._group_sizes(sample))
+        return self.bound * root_sizes * SQRT_2_OVER_PI
 
     def closed_form_rademacher(self, sample):
-        n = self._check(sample)
-        return self.bound * float(n)
+        """bound * sum_g E|S_g| with S_k a sum of k Rademacher signs:
+        E|S_k| = k * C(k-1, (k-1)//2) / 2^(k-1), which is 1 for k = 1."""
+        means = sum(k * math.comb(k - 1, (k - 1) // 2) / 2 ** (k - 1)
+                    for k in self._group_sizes(sample))
+        return self.bound * means
 
     def to_json(self):
         return {"class": "sign-complete", "bound": self.bound}

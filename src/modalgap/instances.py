@@ -19,7 +19,7 @@ import numpy as np
 from .core import Block, DomainError, ModalgapError
 from . import shatter
 from .shatter import (ShatterCertificate, certificate_from_json,
-                      certificate_to_json, lattice_multiplier, lattice_point)
+                      certificate_to_json, lattice_point)
 
 TWO_PI = 2.0 * math.pi
 
@@ -92,14 +92,18 @@ class SineInstance:
     def _x_floats(self) -> np.ndarray:
         return np.array([float(p) for p in self.support_points])
 
+    def _scaled_y_ratio(self, index: int) -> tuple:
+        """(num, den) with num/den = 2*pi*y_index = 1/(c * a_index)."""
+        c = self.witness.c
+        w = 16 ** index
+        return c.denominator * w, c.numerator * (w + 1)
+
     @cached_property
     def _y_floats(self) -> np.ndarray:
         if self.witness is not None:
-            ys = []
-            for i in self.support:
-                scaled = Fraction(1, 1) / (self.witness.c * lattice_multiplier(i))
-                ys.append(float(scaled) / TWO_PI)
-            return np.array(ys)
+            # int-by-int true division rounds once, as float(Fraction) does
+            return np.array([num / den / TWO_PI for num, den in
+                             map(self._scaled_y_ratio, self.support)])
         return self.theta_star * self._x_floats
 
     @cached_property
@@ -120,13 +124,9 @@ class SineInstance:
         """
         if self.witness is None:
             raise DomainError("exact pairs need a witness-backed instance")
-        out = []
-        for pos in positions:
-            i = self.support[pos]
-            x = lattice_point(i)
-            scaled_y = Fraction(1, 1) / (self.witness.c * lattice_multiplier(i))
-            out.append((x, scaled_y))
-        return out
+        indices = [self.support[pos] for pos in positions]
+        return [(lattice_point(i), Fraction(*self._scaled_y_ratio(i)))
+                for i in indices]
 
     def draw_labeled_task(self, rng, t, count):
         if self.continuous:

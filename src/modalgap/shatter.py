@@ -3,15 +3,22 @@
 The lattice points x_i = 16^i / (16^i + 1) can be given any sign pattern by
 a member sin(1/(theta x)) of the composed sine family.  The witness is a
 rational number c built digit-by-digit in base 16; theta = 1/(2*pi*c).  All
-range reduction is done on exact rationals (c grows like 16^n and overflows
-both 64-bit integers and float64 very quickly), and the sine itself is only
-evaluated in floating point after the exact fractional part is known.
+range reduction is done in exact integer arithmetic: 4c is an integer, so
+frac(c * a_i) = r / (4 * 16^i) with r = 4c * (16^i + 1) mod 4 * 16^i, and the
+window tests compare integers (c grows like 16^n and overflows both 64-bit
+integers and float64 very quickly, so these are Python ints).  The sine
+itself is only evaluated in floating point after the exact fractional part
+is known; an int-by-int true division is correctly rounded, so r / (4 * 16^i)
+is the same float as float(Fraction(r, 4 * 16^i)).
+ShatterCertificate.verify() re-checks every entry on Fractions and is the
+independent reference for the integer construction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -30,16 +37,36 @@ def frac_exact(c: Fraction, a: Fraction) -> Fraction:
     a = Fraction(a)
     if c < 0 or a < 0:
         raise ValueError("frac_exact requires nonnegative operands")
-    p = c * a
-    return p - Fraction(p.numerator // p.denominator)
+    q = c.denominator * a.denominator
+    return Fraction(c.numerator * a.numerator % q, q)
 
 
+@lru_cache(maxsize=1024)
 def lattice_multiplier(index: int) -> Fraction:
     """a_i = 1 + 16^-i, the reciprocal of the i-th lattice point."""
     if index < 1:
         raise ValueError("lattice indices start at 1")
     w = 16 ** index
     return Fraction(w + 1, w)
+
+
+def _lattice_residue(num: int, den: int, index: int) -> tuple:
+    """(r, d) with frac((num/den) * a_index) = r/d and 0 <= r < d."""
+    w = 16 ** index
+    d = den * w
+    return num * (w + 1) % d, d
+
+
+def lattice_sine(c: Fraction, index: int) -> float:
+    """sin(2*pi*frac(c * a_index)) for an exact nonnegative c, reduced in
+    integers; equal to math.sin(TWO_PI * float(frac_exact(c, a_index)))."""
+    c = Fraction(c)
+    if c < 0:
+        raise ValueError("lattice_sine requires a nonnegative c")
+    if index < 1:
+        raise ValueError("lattice indices start at 1")
+    r, d = _lattice_residue(c.numerator, c.denominator, index)
+    return math.sin(TWO_PI * (r / d))
 
 
 def lattice_point(index: int) -> Fraction:
@@ -151,27 +178,26 @@ def construct(signs: Sequence[int], convention: str = "sine-sign",
     if sorted(set(indices)) != list(indices):
         raise ValueError("indices must be strictly increasing and distinct")
 
+    # digit c_i = flip * s_i / 4, so 4c = 2 + sum (4 + flip * s_i) 16^i
     flip = 1 if convention == "interval" else -1
-    digits = {i: Fraction(flip * s, 4) for i, s in zip(indices, signs)}
-
-    c = Fraction(1, 2)
-    for i in indices:
-        c += (1 + digits[i]) * (16 ** i)
+    c4 = 2 + sum((4 + flip * s) * 16 ** i for i, s in zip(indices, signs))
 
     entries = []
-    for i in indices:
-        a = lattice_multiplier(i)
-        f = frac_exact(c, a)
-        window = NEGATIVE_WINDOW if digits[i] > 0 else POSITIVE_WINDOW
-        sine = math.sin(TWO_PI * float(f))
-        entries.append(IndexCertificate(index=i, multiplier=a, frac=f,
-                                        window=window, sine=sine))
-    cert = ShatterCertificate(signs=signs, indices=indices,
-                              convention=convention, c=c,
+    for i, s in zip(indices, signs):
+        r, d = _lattice_residue(c4, 4, i)
+        # a positive digit targets NEGATIVE_WINDOW, a negative one
+        # POSITIVE_WINDOW; both windows are in eighths, so 8r/d is compared
+        upper = flip * s > 0
+        lo, hi = (5, 7) if upper else (1, 3)
+        if not lo * d <= 8 * r <= hi * d:
+            raise AssertionError("window membership failed; construction bug")
+        entries.append(IndexCertificate(
+            index=i, multiplier=lattice_multiplier(i), frac=Fraction(r, d),
+            window=NEGATIVE_WINDOW if upper else POSITIVE_WINDOW,
+            sine=math.sin(TWO_PI * (r / d))))
+    return ShatterCertificate(signs=signs, indices=indices,
+                              convention=convention, c=Fraction(c4, 4),
                               entries=tuple(entries))
-    if not cert.verify():
-        raise AssertionError("window membership failed; construction bug")
-    return cert
 
 
 def _frac_str(f: Fraction) -> str:

@@ -173,6 +173,17 @@ def test_gaussavg_sign_complete_beyond_twenty_points(tmp_path):
     assert est["closed_form"] == pytest.approx(21 * math.sqrt(2.0 / math.pi))
 
 
+def test_gap_sign_complete_defaults(tmp_path):
+    # resamples draw with replacement, so the x-only sample repeats points
+    out = tmp_path / "gap"
+    assert main(["gap", "--cls", "sign-complete", "--out", str(out)]) == 0
+    gap = read(out / "gap.json")
+    parts = gap["components"]
+    assert parts["unimodal_risk_method"] == "enumeration-exact"
+    assert parts["unimodal_risk"] == 0.0 and parts["multimodal_risk"] == 0.0
+    assert 0.0 < gap["h"] <= math.sqrt(2.0 / math.pi)
+
+
 def test_unknown_subcommand_exits_nonzero():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

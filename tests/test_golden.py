@@ -96,6 +96,8 @@ def _instance_file(tmp_path, instance):
     return str(path)
 
 
+SHATTER_SIGNS = "+-+--++-+++---+-"
+
 RUNS = {
     "separation": lambda tmp: ["separation", "--n", "2", "--trials", "4",
                                "--grid", "2000", "--seed", "3"],
@@ -118,6 +120,15 @@ RUNS = {
                               "--trials", "6", "--seed", "2"],
     "separability": lambda tmp: ["separability", "--sample-size", "64",
                                  "--seed", "4"],
+    "shatter-sine-sign": lambda tmp: [
+        "shatter", "--n", "16", "--signs", SHATTER_SIGNS, "--table",
+        "--convention", "sine-sign"],
+    "shatter-interval": lambda tmp: [
+        "shatter", "--n", "16", "--signs", SHATTER_SIGNS, "--table",
+        "--convention", "interval"],
+    "gaussavg-composed-sine": lambda tmp: [
+        "gaussavg", "--cls", "composed-sine", "--indices", "1,2,3,4,5,6,7,8",
+        "--draws", "2000", "--seed", "3"],
 }
 
 RESULT_HASHES = {
@@ -160,6 +171,22 @@ RESULT_HASHES = {
     "separability": {
         "separability.json":
             "71253e41e1b9ad8b4c1a5de3c48ad6523c039ba1afe9b43892fbe871980704c9",
+    },
+    "shatter-sine-sign": {
+        "certificate.csv":
+            "4cd7721140878f509edfdc362cfe47817feb4435d2e4364c6a8dad218a8cf44e",
+        "certificate.json":
+            "0a0bb6f1995d4a75ba01a5f8dc7fb535e9abd4830b09b60398852be6e5548896",
+    },
+    "shatter-interval": {
+        "certificate.csv":
+            "851ee19ded1fdd0f44e85b4e6062279caced07e9bc40d1b60e80f39365bb1752",
+        "certificate.json":
+            "ce19e315b524fc39da714c3d13f6b5be3b8ffba60abf40f99544e935a99812cd",
+    },
+    "gaussavg-composed-sine": {
+        "estimate.json":
+            "3ad7ac4bb38ceb74f808c8d4c8434e134f4b645eeefa2ab3fd5a305fd41a28eb",
     },
 }
 

@@ -220,6 +220,15 @@ def test_unsupported_oracles_raise():
     with pytest.raises(UnsupportedClassError):
         ComposedSineClass().sup_oracle(None)
     with pytest.raises(DomainError):
-        SignCompleteClass().sup_oracle(np.zeros((2, 1)))  # duplicate points
-    with pytest.raises(DomainError):
         SmoothedHyperplaneClass(dim=2, epsilon=0.0)
+
+
+def test_sign_complete_oracle_groups_repeated_points():
+    # copies of one point share a value, so their sigmas add before |.|
+    oracle = SignCompleteClass(bound=2.0).sup_oracle(np.zeros((2, 1)))
+    assert oracle.size == 2
+    assert oracle.witness(np.array([0.5, -1.5])).value == 2.0
+    points = np.array([0.1, 0.2, 0.1])
+    assert SignCompleteClass().closed_form_gaussian(points) == pytest.approx(
+        (1.0 + math.sqrt(2.0)) * math.sqrt(2.0 / math.pi))
+    assert SignCompleteClass().closed_form_rademacher(points) == 2.0

@@ -1,9 +1,11 @@
-"""Differential properties: closed forms and the shared ERM against brute
-force, and the columnar sample format.
+"""Differential properties: closed forms, the shared ERM and the integer
+shattering path against brute force, and the columnar sample format.
 
 The sign-complete oracle is checked against the 2^n vertex enumeration it
-replaces, and the population risk (the sample ERM on the uniform support)
-against a direct minimization written out here.  Samples survive the CSV
+replaces, also on samples with repeated points, and the population risk
+(the sample ERM on the uniform support) against a direct minimization
+written out here.  Shattering certificates, built in integers, are checked
+against Fraction range reduction written out here.  Samples survive the CSV
 round trip with their hash and arrays, and blocks reject malformed columns.
 """
 
@@ -17,14 +19,16 @@ from hypothesis import given, settings, strategies as st
 
 from modalgap.analysis import best_unimodal_population_risk
 from modalgap.complexity import gaussian_average, gaussian_average_closed_form
-from modalgap.core import (ABSOLUTE, CLIPPED_ABS, Block, DomainError,
+from modalgap.core import (ABSOLUTE, CLIPPED_ABS, Block, DomainError, Loss,
                            InvalidInputError, SeedSpec, draw_labeled,
-                           draw_unlabeled, sample_from_csv, sample_hash,
-                           sample_to_csv)
+                           draw_unlabeled, loss_eval, sample_from_csv,
+                           sample_hash, sample_to_csv)
 from modalgap.hypotheses import BooleanMapClass, ScalingClass, SignCompleteClass
 from modalgap.instances import (make_boolean, make_separable_from_fixed_points,
                                 make_sine, make_sine_shattered, make_subspace,
                                 make_three_param)
+from modalgap.shatter import (CONVENTIONS, TWO_PI, construct, frac_exact,
+                              lattice_multiplier, lattice_sine)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -50,8 +54,122 @@ def test_sign_complete_estimate_beyond_twenty_points():
     est = gaussian_average(cls, points, draws=4000, seed=SeedSpec(21))
     assert est.mode == "enumeration-exact"
     assert est.agrees_with(gaussian_average_closed_form(cls, points))
-    with pytest.raises(DomainError):
-        cls.sup_oracle(np.zeros(21))     # the points must stay distinct
+    # 21 copies of one point share one value: the supremum is |sum sigma|
+    sigma = np.random.default_rng(21).standard_normal((4, 21))
+    assert np.array_equal(cls.sup_oracle(np.zeros(21)).batch(sigma),
+                          np.abs(sigma @ np.ones(21)))
+
+
+@PROPERTY
+@given(slots=st.lists(st.integers(0, 5), min_size=1, max_size=10),
+       bound=st.floats(0.01, 100.0), seed=st.integers(0, 2**32 - 1))
+def test_sign_complete_grouped_supremum_matches_vertex_enumeration(slots, bound,
+                                                                    seed):
+    points = np.array([[0.5 * k, -float(k)] for k in slots])
+    distinct = sorted(set(slots))
+    sigma = np.random.default_rng(seed).standard_normal((8, len(slots)))
+    # a vertex is a value in {-bound, bound} per distinct point; copies of a
+    # point read the value of that point
+    vertices = bound * np.array(list(itertools.product((-1.0, 1.0),
+                                                       repeat=len(distinct))))
+    per_copy = vertices[:, [distinct.index(k) for k in slots]]
+    brute = (sigma @ per_copy.T).max(axis=1)
+    oracle = SignCompleteClass(bound=bound).sup_oracle(points)
+    assert oracle.size == len(slots)
+    assert np.allclose(oracle.batch(sigma), brute, rtol=1e-12, atol=1e-12)
+    for row, expected in zip(sigma, brute):
+        assert oracle.witness(row).value == pytest.approx(expected, rel=1e-12,
+                                                          abs=1e-12)
+
+
+@PROPERTY
+@given(slots=st.lists(st.integers(0, 3), min_size=1, max_size=10),
+       bound=st.floats(0.01, 100.0))
+def test_sign_complete_closed_forms_on_repeated_points(slots, bound):
+    # E sup over all 2^n sign draws, enumerated exactly with Fractions
+    counts = [slots.count(k) for k in sorted(set(slots))]
+    total = Fraction(0)
+    for signs in itertools.product((-1, 1), repeat=len(slots)):
+        total += sum(abs(sum(s for s, k in zip(signs, slots) if k == g))
+                     for g in sorted(set(slots)))
+    expected = float(total / 2 ** len(slots)) * bound
+    closed = SignCompleteClass(bound=bound).closed_form_rademacher(
+        np.array(slots, dtype=float))
+    assert closed == pytest.approx(expected, rel=1e-12)
+    assert SignCompleteClass(bound=bound).closed_form_gaussian(
+        np.array(slots, dtype=float)) == pytest.approx(
+            bound * math.sqrt(2.0 / math.pi) * sum(math.sqrt(c) for c in counts),
+            rel=1e-12)
+
+
+@PROPERTY
+@given(rows=st.lists(st.tuples(st.integers(0, 3), st.floats(-2.0, 2.0)),
+                     min_size=1, max_size=8),
+       bound=st.floats(0.1, 1.5), kind=st.sampled_from(["absolute", "clipped-absolute"]),
+       scale=st.floats(0.5, 4.0))
+def test_sign_complete_population_risk_matches_value_scan(rows, bound, kind,
+                                                           scale):
+    loss = Loss(kind, scale)
+    xs = np.array([float(x) for x, _ in rows])
+    zs = np.array([z for _, z in rows])
+    risk, member = SignCompleteClass(bound=bound).population_risk(xs, zs, loss)
+    preds = member.map(xs)
+    assert np.all(np.abs(preds) <= bound)
+    assert sum(loss_eval(loss, p, z) for p, z in zip(preds, zs)) / len(xs) == \
+        pytest.approx(risk, rel=1e-12, abs=1e-12)
+    # no value on a fine scan of [-bound, bound] does better on any group
+    grid = np.linspace(-bound, bound, 801)
+    scanned = 0.0
+    for x in set(xs.tolist()):
+        group = zs[xs == x]
+        scanned += min(sum(loss_eval(loss, v, z) for z in group) for v in grid)
+    assert risk <= scanned / len(xs) + 1e-12
+
+
+def _increasing_indices(depth):
+    return st.lists(st.integers(1, depth), min_size=1, max_size=depth,
+                     unique=True).map(sorted)
+
+
+def _fraction_frac(c, a):
+    p = c * a
+    return p - math.floor(p)
+
+
+@PROPERTY
+@given(indices=_increasing_indices(64), convention=st.sampled_from(CONVENTIONS),
+       data=st.data())
+def test_integer_certificate_matches_fraction_reduction(indices, convention,
+                                                        data):
+    signs = data.draw(st.lists(st.sampled_from((-1, 1)), min_size=len(indices),
+                               max_size=len(indices)))
+    cert = construct(signs, convention=convention, indices=indices)
+    assert cert.verify()
+    flip = 1 if convention == "interval" else -1
+    c = Fraction(1, 2) + sum((1 + Fraction(flip * s, 4)) * 16 ** i
+                             for i, s in zip(indices, signs))
+    assert cert.c == c
+    assert [e.index for e in cert.entries] == list(indices)
+    for s, entry in zip(signs, cert.entries):
+        a = Fraction(16 ** entry.index + 1, 16 ** entry.index)
+        assert entry.multiplier == a
+        assert entry.frac == _fraction_frac(c, a)
+        assert entry.sine == math.sin(TWO_PI * float(entry.frac))
+        assert entry.in_window
+        assert (entry.sine > 0) == (s == -flip)
+        assert lattice_sine(c, entry.index) == entry.sine
+
+
+_RATIONAL = st.fractions(min_value=0, max_denominator=10**30)
+
+
+@PROPERTY
+@given(c=_RATIONAL, a=_RATIONAL, index=st.integers(1, 64))
+def test_integer_frac_exact_matches_fraction_expression(c, a, index):
+    assert frac_exact(c, a) == _fraction_frac(c, a)
+    assert 0 <= frac_exact(c, a) < 1
+    expected = math.sin(TWO_PI * float(_fraction_frac(c, lattice_multiplier(index))))
+    assert lattice_sine(c, index) == expected
 
 
 def _clamped(theta, signed):
