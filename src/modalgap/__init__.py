@@ -17,9 +17,7 @@ from .hypotheses import (BooleanLookupClass, BooleanMapClass,
                          ComposedSineClass, PolynomialClass, ScalingClass,
                          SignCompleteClass, SineSingletonClass,
                          SmoothedHyperplaneClass, TableLookupClass,
-                         eval_connection, fit_boolean_table,
-                         fit_polynomial_connection, fit_scaling_lad,
-                         sup_witness)
+                         fit_scaling_lad)
 from .complexity import (ComplexityEstimate, RealizabilityReport,
                          approximate_realizability, gaussian_average,
                          gaussian_average_closed_form, rademacher_average,

@@ -17,15 +17,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (CLIPPED_ABS, ABSOLUTE, DomainError, Loss, MultiSample,
-                   SeedSpec, SingularityError, UnsupportedClassError,
-                   draw_labeled, draw_unlabeled, loss_eval)
+                   SeedSpec, SingularityError, draw_labeled, draw_unlabeled,
+                   loss_eval, mean_loss)
 from .complexity import ComplexityEstimate, gaussian_average
-from .erm import (UnimodalSolution,
-                  fit_multimodal, fit_unimodal)
-from .hypotheses import (BooleanLookupClass, ComposedSineClass, ScalingClass,
-                         SignCompleteClass, SinePredictor, SineSingletonClass,
-                         SmoothedHyperplaneClass, XOnlyPredictorClass,
-                         eval_connection)
+from .erm import UnimodalSolution, fit_multimodal, fit_unimodal
+from .hypotheses import (ComposedSineClass, ScalingClass, SignCompleteClass,
+                         SinePredictor, SineSingletonClass,
+                         SmoothedHyperplaneClass)
 from .instances import (BooleanInstance, SeparableInstance, SineInstance,
                         make_boolean, make_sine, make_sine_shattered)
 from .shatter import lattice_sine
@@ -59,14 +57,6 @@ class RiskReport:
                 "mc_stderr": self.mc_stderr}
 
 
-def _predict_from_x(member, x: float) -> float:
-    if hasattr(member, "predict_x"):
-        return member.predict_x(x)
-    if hasattr(member, "map"):
-        return float(np.atleast_1d(member.map(x))[0])
-    raise UnsupportedClassError(f"cannot predict from x with {member!r}")
-
-
 def _composed_prediction(connection, predictor, instance, block, i) -> float:
     """Prediction of predictor(x, g(x)) at row i of a block, routed through
     exact range reduction when both sides carry exact parameters."""
@@ -77,67 +67,18 @@ def _composed_prediction(connection, predictor, instance, block, i) -> float:
         index = instance.support[block.support_index[i]]
         return lattice_sine(connection.c_exact, index)
     x = block.x[i]
-    y_hat = np.atleast_1d(eval_connection(connection, x[0]))
-    return predictor.predict(x, y_hat)
+    return predictor.predict(x, np.atleast_1d(connection.map(x[0])))
 
 
 def _solution_prediction(solution, t: int, instance, block, i) -> float:
     try:
         if isinstance(solution, UnimodalSolution):
-            return _predict_from_x(solution.member, block.x[i, 0])
+            return float(np.atleast_1d(solution.member.map(block.x[i, 0]))[0])
         predictors = solution.predictors
         member = predictors[t] if t < len(predictors) else predictors[0]
         return _composed_prediction(solution.connection, member, instance, block, i)
     except SingularityError as err:
         raise SingularityError(f"{err} at support point x={block.x[i, 0]!r}") from err
-
-
-def _truth_predictions(instance, block) -> list:
-    """f*(x, y) evaluations of the sine singleton on a block, using the
-    certified values on lattice supports."""
-    if isinstance(instance, SineInstance) and block.support_index is not None:
-        return instance._z_floats[block.support_index].tolist()
-    ys = block.y[:, 0].tolist()
-    if 0.0 in ys:
-        raise SingularityError("sin(1/y) undefined at y = 0")
-    return [math.sin(1.0 / y) for y in ys]
-
-
-def _losses(loss: Loss, preds, zs) -> list:
-    return [loss_eval(loss, pred, z) for pred, z in zip(preds, zs.tolist())]
-
-
-def _uniform_risk(losses) -> Fraction:
-    """Exact mean of the pointwise losses: the risk under the uniform law on
-    the rows they were evaluated at."""
-    p = Fraction(1, len(losses))
-    total = Fraction(0)
-    for value in losses:
-        total += p * Fraction(value)
-    return total
-
-
-def comparator_task_risk(instance, t: int, cls, loss: Loss, block):
-    """Exact best-in-class risk of predictors seeing both modalities, under
-    the uniform law on the rows of a labeled block."""
-    if isinstance(cls, SineSingletonClass):
-        return _uniform_risk(_losses(loss, _truth_predictions(instance, block), block.z))
-    if isinstance(cls, BooleanLookupClass):
-        risks = []
-        for member in cls.members():
-            preds = [member.predict(x, y) for x, y in zip(block.x, block.y)]
-            risks.append(_uniform_risk(_losses(loss, preds, block.z)))
-        return min(risks)
-    if isinstance(cls, SignCompleteClass):
-        # every map is in the class, so the pointwise best value clip(z) is
-        # also the population minimizer
-        preds = [min(max(z, -cls.bound), cls.bound) for z in block.z.tolist()]
-        return _uniform_risk(_losses(loss, preds, block.z))
-    if isinstance(cls, XOnlyPredictorClass):
-        value, _, _ = best_unimodal_population_risk(instance, cls.inner, loss,
-                                                    task=t)
-        return Fraction(value)
-    raise UnsupportedClassError(f"no comparator oracle for {cls!r}")
 
 
 def excess_risk(solution, instance, comparator_cls=None, loss: Loss = CLIPPED_ABS,
@@ -171,13 +112,12 @@ def excess_risk(solution, instance, comparator_cls=None, loss: Loss = CLIPPED_AB
                 seed.child("risk-mc", t).generator(), t, mc_points)
         preds = [_solution_prediction(solution, t, instance, block, i)
                  for i in range(len(block))]
-        losses = _losses(loss, preds, block.z)
-        risk = _uniform_risk(losses)
-        comp = comparator_task_risk(instance, t, comparator_cls, loss, block)
+        risk = mean_loss(loss, preds, block.z)
         exact_risks.append(risk)
-        exact_comps.append(comp)
+        exact_comps.append(comparator_cls.comparator_risk(instance, t, loss, block))
         task_risks.append(float(risk))
         if mode == "monte-carlo":
+            losses = [loss_eval(loss, p, z) for p, z in zip(preds, block.z.tolist())]
             spreads.append(np.var(losses, ddof=1) if len(losses) > 1 else 0.0)
 
     exact_risk = sum(exact_risks) / T
@@ -203,16 +143,10 @@ def best_unimodal_population_risk(instance, cls, loss: Loss,
 
     Every finite support in the lab carries a uniform law, so the sample ERM
     on the support points, each listed once, is the population minimizer.
-    A class with a population_risk method (sign-complete, which holds every
-    map of the support) answers for itself.
     """
     block = instance.support_enumeration(task)
     if block is None:
         raise DomainError("population risk needs a finite support")
-    population_risk = getattr(cls, "population_risk", None)
-    if population_risk is not None:
-        risk, member = population_risk(block.x[:, 0], block.z, loss)
-        return risk, member, "enumeration-exact"
     solution = fit_unimodal(np.column_stack((block.x[:, 0], block.z)), cls,
                             loss, grid_points=grid_points, refine=False)
     return solution.objective, solution.member, solution.path
@@ -295,21 +229,6 @@ class GapReport:
                 "intrinsic": self.intrinsic, "components": self.components}
 
 
-def _class_average_on_sample(cls, instance, block, draws, seed, workers):
-    """Inner complexity estimate; lattice classes consume support indices."""
-    xs, ys = block.x[:, 0], block.y
-    if isinstance(cls, ComposedSineClass):
-        if block.support_index is None:
-            raise DomainError("composed sine oracle needs lattice draws")
-        indices = [instance.support[p] for p in block.support_index.tolist()]
-        return gaussian_average(cls, indices, draws=draws, seed=seed,
-                                workers=workers)
-    if isinstance(cls, (SineSingletonClass, XOnlyPredictorClass)):
-        return gaussian_average(cls, (xs, ys), draws=draws, seed=seed,
-                                workers=workers)
-    return gaussian_average(cls, xs, draws=draws, seed=seed, workers=workers)
-
-
 def heterogeneity_gap(instance, unimodal_cls, predictor_cls, n: int,
                       draws: int = 2000, resamples: int = 30,
                       seed: SeedSpec = SeedSpec(7), loss: Loss = ABSOLUTE,
@@ -330,14 +249,9 @@ def heterogeneity_gap(instance, unimodal_cls, predictor_cls, n: int,
         sample = draw_labeled(instance, 1, n, seed.child("resample", r))
         block = sample.tasks[0]
         inner = seed.child("avg", r)
-        g_est = _class_average_on_sample(unimodal_cls, instance, block,
-                                         draws, inner, workers)
-        if isinstance(predictor_cls, SineSingletonClass):
-            f_est = ComplexityEstimate(0.0, 0.0, draws, "gaussian",
-                                       "enumeration-exact")
-        else:
-            f_est = _class_average_on_sample(predictor_cls, instance, block,
-                                             draws, inner, workers)
+        g_est, f_est = (gaussian_average(cls, cls.oracle_input(instance, block),
+                                         draws=draws, seed=inner, workers=workers)
+                        for cls in (unimodal_cls, predictor_cls))
         g_terms.append(g_est.value / n)
         f_terms.append(f_est.value / n)
 
@@ -351,7 +265,7 @@ def heterogeneity_gap(instance, unimodal_cls, predictor_cls, n: int,
         raise DomainError("gap risks need a finite-support instance")
     g_risk, _, g_method = best_unimodal_population_risk(
         instance, unimodal_cls, loss, grid_points=grid_points)
-    f_risk = float(comparator_task_risk(instance, 0, predictor_cls, loss, support))
+    f_risk = float(predictor_cls.comparator_risk(instance, 0, loss, support))
 
     h = (g_avg + g_risk) - (f_avg + f_risk)
     intrinsic = g_risk - f_risk

@@ -118,21 +118,21 @@ def cmd_gaussavg(args) -> int:
         if not args.indices:
             raise DomainError("--cls composed-sine needs --indices")
         sample = [int(i) for i in args.indices.split(",")]
+        flat = np.asarray(sample, dtype=float)
     elif not args.points:
         raise DomainError(f"--cls {args.cls} needs --points")
     elif args.cls == "singleton":
-        pts = _parse_points(args.points)
-        ys = _parse_points(args.y_points) if args.y_points else pts
-        sample = (pts, ys)
+        flat = _parse_points(args.points)
+        ys = _parse_points(args.y_points) if args.y_points else flat
+        sample = (flat, ys)
     else:
-        sample = _parse_points(args.points)
+        sample = flat = _parse_points(args.points)
     fn = (complexity.gaussian_average if args.kind == "gaussian"
           else complexity.rademacher_average)
     est = fn(cls, sample, draws=args.draws, seed=_seed(args), workers=args.workers)
     closed = (complexity.gaussian_average_closed_form(cls, sample)
               if args.kind == "gaussian"
               else complexity.rademacher_average_closed_form(cls, sample))
-    flat = sample[0] if isinstance(sample, tuple) else np.asarray(sample, dtype=float)
     data = est.to_json(cls=cls.to_json(), closed_form=closed,
                        sample_hash=complexity.sample_bytes_hash(flat),
                        seed=_seed(args).to_json())
@@ -217,6 +217,8 @@ def cmd_fit_joint(args) -> int:
 def cmd_bound(args) -> int:
     out = _out_dir(args)
     instance = _load_instance(args) or make_sine(0.7, support=12)
+    if instance.support_enumeration(0) is None:
+        raise DomainError("bound needs a finite-support instance")
     seed = _seed(args)
     scaling = ScalingClass()
     singleton = SineSingletonClass()

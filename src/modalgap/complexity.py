@@ -127,38 +127,27 @@ class RealizabilityReport:
         return data
 
 
-def approximate_realizability(cls, xs, ys, norm: str = "l2") -> RealizabilityReport:
-    """min over the class of the mean residual norm ||g(x_i) - y_i||.
+def approximate_realizability(cls, xs, ys) -> RealizabilityReport:
+    """min over the class of the mean residual |g(x_i) - y_i|.
 
     Exact for scaling / boolean / table classes; the polynomial class is fit
-    in least squares and the reported mean-L1 value is flagged as a
-    surrogate upper bound.  The vector norm defaults to Euclidean; "l1" is
-    exposed for the coordinate-sum reading.
+    in least squares and its mean Euclidean residual is flagged as a
+    surrogate upper bound.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.size == 0:
         raise DomainError("empty sample")
-    if norm not in ("l2", "l1"):
-        raise DomainError("norm must be 'l2' or 'l1'")
 
     fit = getattr(cls, "fit_connection", None)
     if fit is None:
         raise UnsupportedClassError(f"{cls!r} has no ERM sub-oracle")
     result = fit(xs, ys)
-    if len(result) == 3:
-        member, residuals, _unique = result
-        value = float(np.mean(residuals))
-        return RealizabilityReport(value=value, witness=member,
-                                   residuals=np.asarray(residuals),
-                                   exact=False, surrogate="least-squares")
-    member, residuals = result
-    residuals = np.asarray(residuals, dtype=float)
-    if residuals.ndim > 1:
-        residuals = (np.abs(residuals).sum(axis=1) if norm == "l1"
-                     else np.linalg.norm(residuals, axis=1))
+    member, residuals = result[0], np.asarray(result[1], dtype=float)
+    surrogate = "least-squares" if len(result) == 3 else None
     return RealizabilityReport(value=float(np.mean(residuals)), witness=member,
-                               residuals=residuals, exact=True)
+                               residuals=residuals, exact=surrogate is None,
+                               surrogate=surrogate)
 
 
 def sample_bytes_hash(sample) -> str:

@@ -12,6 +12,7 @@ import hashlib
 import io
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -76,6 +77,13 @@ def loss_eval(loss: Loss, prediction: float, z: float) -> float:
     if loss.kind == "clipped-absolute":
         return min(d, 1.0)
     return d
+
+
+def mean_loss(loss: Loss, preds, zs) -> Fraction:
+    """Exact mean of the pointwise losses, as a rational: the risk under the
+    uniform law on the rows they were evaluated at."""
+    losses = [loss_eval(loss, pred, z) for pred, z in zip(preds, zs.tolist())]
+    return sum(map(Fraction, losses), Fraction(0)) / len(losses)
 
 
 _SEED_MASK = (1 << 64) - 1

@@ -4,6 +4,12 @@ Two-stage multimodal ERM fits the connection on pooled unlabeled pairs and
 one predictor per task on the labeled blocks (the stages are independent).
 The unimodal baseline fits a single-modality predictor; the joint baseline
 searches connection and predictors together from x-only labeled data.
+
+Each class owns its own fits (see the hypotheses module).  This module
+owns what lies between them: the input checks of the x-only ERM, the
+exact-rational stage 1 on witness-backed lattice samples, the certified
+labels of stage 2 on those samples, the per-task loop of the two-stage fit,
+and the budgeted candidate loop and zero-loss census of the joint search.
 """
 
 from __future__ import annotations
@@ -17,9 +23,10 @@ import numpy as np
 
 from .core import (Block, DegenerateDataError, DomainError, Loss, CLIPPED_ABS,
                    MultiSample, UnsupportedClassError)
-from .hypotheses import (BooleanMapClass, ComposedSineClass, ScalingClass,
-                         ScalingConnection, SineComposition,
-                         SineSingletonClass, fit_scaling_lad_exact)
+# UnimodalSolution and _grid_erm live with the classes that fit them; they
+# stay importable from here, where the benchmark's tracer finds _grid_erm
+from .hypotheses import (ScalingClass, ScalingConnection, SineSingletonClass,  # noqa: F401
+                         UnimodalSolution, _grid_erm, fit_scaling_lad_exact)
 from .instances import SineInstance
 
 
@@ -39,22 +46,6 @@ class MultimodalSolution:
             "stage2_objective": self.stage2_objective,
             "provenance": self.provenance,
         }
-
-
-@dataclass(frozen=True, eq=False)
-class UnimodalSolution:
-    """Fitted x-only member and its mean loss.  path names how the minimum
-    was found: "exact-lad", "enumeration-exact" or "grid-upper-bound" (an
-    upper bound on the true minimum, at the recorded grid resolution)."""
-
-    member: object
-    objective: float
-    path: str
-    grid_resolution: Optional[float] = None
-
-    def to_json(self) -> dict:
-        return {"member": self.member.to_json(), "objective": self.objective,
-                "grid_resolution": self.grid_resolution}
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,12 +91,8 @@ def _stage1(unlabeled: MultiSample, connection_cls):
         residual = float(sum(abs(tau * x - y) for x, y in pairs)) / (2.0 * math.pi)
         return member, residual / len(pairs), {"stage1": "exact-lad"}
     xs, ys = unlabeled.pooled_xy()
-    result = connection_cls.fit_connection(xs.reshape(len(xs), -1).squeeze(axis=-1)
-                                           if xs.shape[1] == 1 else xs, ys)
-    member, residuals = result[0], np.asarray(result[1], dtype=float)
-    if residuals.ndim > 1:
-        residuals = np.linalg.norm(residuals, axis=1)
-    return member, float(residuals.mean()), {"stage1": "float"}
+    member, residuals = connection_cls.fit_connection(xs[:, 0], ys)[:2]
+    return member, float(np.mean(residuals)), {"stage1": "float"}
 
 
 def fit_multimodal(labeled: MultiSample, unlabeled: MultiSample,
@@ -142,110 +129,26 @@ def fit_multimodal(labeled: MultiSample, unlabeled: MultiSample,
 def predict_unimodal(solution: MultimodalSolution, t: int, x) -> float:
     """Inference on x alone: the task predictor composed with the learned
     connection."""
-    from .hypotheses import eval_connection
-
     if t >= len(solution.predictors):
         raise DomainError(f"task {t} out of range")
     x0 = float(np.atleast_1d(np.asarray(x, dtype=float))[0])
-    y_hat = np.atleast_1d(eval_connection(solution.connection, x0))
+    y_hat = np.atleast_1d(solution.connection.map(x0))
     return solution.predictors[t].predict(np.atleast_1d(x), y_hat)
-
-
-def _grid_erm(objective, grid_points: int, refine: bool):
-    """Dense grid over (0, 1] plus golden-section refinement of the best cell.
-
-    The objective may be violently oscillatory, so the recorded resolution
-    is part of the result; refinement only replaces the grid optimum when it
-    actually improves it.
-    """
-    thetas = np.arange(1, grid_points + 1, dtype=float) / grid_points
-    best_val = math.inf
-    best_theta = thetas[-1]
-    block = 8192
-    for lo in range(0, grid_points, block):
-        chunk = thetas[lo:lo + block]
-        vals = objective(chunk)
-        j = int(np.argmin(vals))
-        if vals[j] < best_val:
-            best_val = float(vals[j])
-            best_theta = float(chunk[j])
-    if refine:
-        # scipy.optimize costs about 50 MB to import; load it where it is used
-        from scipy.optimize import minimize_scalar
-
-        lo = max(best_theta - 1.0 / grid_points, 1e-12)
-        hi = min(best_theta + 1.0 / grid_points, 1.0)
-        res = minimize_scalar(lambda t: float(objective(np.array([t]))[0]),
-                              bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-12})
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best_theta = float(res.x)
-    return best_theta, best_val
-
-
-def _clipped_mean_losses(preds, zs, loss: Loss):
-    d = loss.scale * np.abs(preds - zs)
-    if loss.kind == "clipped-absolute":
-        d = np.minimum(d, 1.0)
-    return d.mean(axis=-1)
 
 
 def fit_unimodal(xz_pairs, cls, loss: Loss = CLIPPED_ABS,
                  grid_points: int = 100_000, refine: bool = True) -> UnimodalSolution:
-    """Single-modality ERM on (x, z) pairs, e.g. an (n, 2) array.
-
-    Scaling fits use the exact weighted-median solver when the loss is plain
-    absolute; 1-D parametric families otherwise go through the recorded-
-    resolution grid search; finite connection classes are enumerated.
-    """
+    """Single-modality ERM on (x, z) pairs, e.g. an (n, 2) array, through
+    the class's own fit_x; classes whose members read y have none."""
     xs, zs = np.asarray(xz_pairs, dtype=float).reshape(-1, 2).T.copy()
     if len(xs) == 0:
         raise DomainError("empty training data")
     if grid_points < 1:
         raise DomainError("the grid needs at least one point")
-
-    if isinstance(cls, SineSingletonClass):
-        raise UnsupportedClassError("sine singleton needs y, not x alone")
-
-    if isinstance(cls, ScalingClass) and loss.kind == "absolute" and loss.scale == 1.0:
-        from .hypotheses import fit_scaling_lad
-        theta = fit_scaling_lad(xs, zs, signed=cls.signed)
-        member = ScalingConnection(theta)
-        objective = float(np.mean(np.abs(theta * xs - zs)))
-        return UnimodalSolution(member=member, objective=objective,
-                                path="exact-lad")
-
-    if isinstance(cls, ScalingClass):
-        def objective(thetas):
-            preds = np.outer(thetas, xs)
-            return _clipped_mean_losses(preds, zs, loss)
-        theta, val = _grid_erm(objective, grid_points, refine)
-        return UnimodalSolution(member=ScalingConnection(theta), objective=val,
-                                path="grid-upper-bound",
-                                grid_resolution=1.0 / grid_points)
-
-    if isinstance(cls, ComposedSineClass):
-        def objective(thetas):
-            preds = np.sin(1.0 / np.outer(thetas, xs))
-            return _clipped_mean_losses(preds, zs, loss)
-        theta, val = _grid_erm(objective, grid_points, refine)
-        return UnimodalSolution(member=SineComposition(theta), objective=val,
-                                path="grid-upper-bound",
-                                grid_resolution=1.0 / grid_points)
-
-    # connection members are maps of x; predictor members also need y
-    if hasattr(cls, "members") and hasattr(cls, "fit_connection"):
-        best = None
-        for member in cls.members():
-            preds = np.asarray(member.map(xs), dtype=float).reshape(-1)
-            val = float(_clipped_mean_losses(preds, zs, loss))
-            if best is None or val < best[1]:
-                best = (member, val)
-        return UnimodalSolution(member=best[0], objective=best[1],
-                                path="enumeration-exact")
-
-    raise UnsupportedClassError(f"no unimodal ERM for {cls!r}")
+    fit_x = getattr(cls, "fit_x", None)
+    if fit_x is None:
+        raise UnsupportedClassError(f"no x-only ERM for {cls!r}")
+    return fit_x(xs, zs, loss, grid_points, refine)
 
 
 def fit_joint(labeled, connection_cls, predictor_cls,
@@ -254,33 +157,20 @@ def fit_joint(labeled, connection_cls, predictor_cls,
     """Representation-style joint ERM from x-only labeled data: a labeled
     MultiSample, or one labeled Block.
 
-    The connection is searched exhaustively (finite class) or on a grid
-    (1-D class); predictors are fit exactly inside each candidate.  The
-    number of objective evaluations is capped by the budget and reported.
-    zero_tol governs the zero-loss tie census; for grids it defaults to the
-    grid resolution (an off-grid zero-loss parameter shows up at that
-    scale), for finite classes to 1e-12.
+    The connection class supplies its candidates: all members of a finite
+    class, or a grid sized to the budget for a 1-D class.  Predictors are
+    fit exactly inside each candidate.  The number of objective evaluations
+    is capped by the budget and reported.  zero_tol governs the zero-loss
+    tie census and defaults to the class's own tolerance.
     """
     if budget < 1:
         raise DomainError("the budget must buy at least one evaluation")
     blocks = labeled.tasks if isinstance(labeled, MultiSample) else (labeled,)
 
-    exhausted = False
-    if isinstance(connection_cls, BooleanMapClass):
-        candidates = connection_cls.members()
-        if zero_tol is None:
-            zero_tol = 1e-12
-    elif isinstance(connection_cls, ScalingClass):
-        per_eval = sum(len(b) for b in blocks)
-        affordable = budget // max(per_eval, 1)
-        points = max(1, min(100_000, affordable))
-        exhausted = affordable < 100_000
-        candidates = [ScalingConnection(float(i) / points)
-                      for i in range(1, points + 1)]
-        if zero_tol is None:
-            zero_tol = 1.0 / points
-    else:
-        raise UnsupportedClassError("joint search needs a finite or 1-D class")
+    candidates, class_tol, exhausted = connection_cls.joint_candidates(
+        sum(len(b) for b in blocks), budget)
+    if zero_tol is None:
+        zero_tol = class_tol
 
     best = None
     ties = 0

@@ -1,9 +1,23 @@
 """Hypothesis classes: connections X -> Y and predictors (X, Y) -> R.
 
-Every class exposes evaluation, an ERM sub-oracle where one exists, and a
-sup oracle used by the complexity estimators.  Oracles always return a
-feasible member (or an explicitly not-attained limit value), so estimates
-built from them are valid lower bounds of the true supremum.
+Each class answers for itself through the methods it has; callers do not
+branch on its type:
+
+- fit_x(xs, zs, loss, grid_points, refine): the x-only ERM, as a
+  UnimodalSolution (scaling, composed sine, boolean maps, sign-complete).
+- comparator_risk(instance, t, loss, block): the exact best-in-class risk
+  under the uniform law on the rows of a labeled block (the predictor
+  classes that serve as both-modality comparators).
+- oracle_input(instance, block): what the sup oracle reads from a block:
+  lattice indices, (x, y) or x.
+- sup_oracle(sample): the per-sample supremum solver used by the
+  complexity estimators.  Oracles always return a feasible member (or an
+  explicitly not-attained limit value), so estimates built from them are
+  valid lower bounds of the true supremum.
+- fit_connection(xs, ys) and joint_candidates(per_eval, budget): the
+  connection fit and the candidates of the joint search.
+
+Every connection member is called as member.map(x).
 """
 
 from __future__ import annotations
@@ -17,7 +31,8 @@ from typing import Optional
 import numpy as np
 
 from .core import (DegenerateDataError, DomainError, Loss, SingularityError,
-                   UnsupportedClassError, loss_eval)
+                   UnsupportedClassError, loss_eval, mean_loss)
+from .instances import SineInstance
 from . import shatter
 
 TWO_PI = 2.0 * math.pi
@@ -65,7 +80,7 @@ class PolynomialConnection:
     coeffs: np.ndarray           # (degree+1, k)
     radius: float = 2.0
 
-    def map_one(self, x: float) -> np.ndarray:
+    def map(self, x: float) -> np.ndarray:
         powers = np.power(float(x), np.arange(self.coeffs.shape[0]))
         raw = powers @ self.coeffs
         norm = np.linalg.norm(raw)
@@ -174,24 +189,17 @@ class SineComposition:
 
     theta: float
 
-    def predict_x(self, x) -> float:
-        x = float(np.atleast_1d(x)[0])
-        if self.theta * x == 0.0:
+    def map(self, x) -> np.ndarray:
+        """Elementwise math.sin, so every value keeps the bits of the scalar
+        evaluation (np.sin may differ in the last bit)."""
+        scaled = self.theta * np.asarray(x, dtype=float)
+        if np.any(scaled == 0.0):
             raise SingularityError("composed sine undefined at theta*x = 0")
-        return math.sin(1.0 / (self.theta * x))
+        return np.array([math.sin(1.0 / v) for v in scaled.reshape(-1).tolist()]
+                        ).reshape(scaled.shape)
 
     def to_json(self):
         return {"member": "sine-composition", "theta": self.theta}
-
-
-# ---------------------------------------------------------------------------
-# evaluation wrapper
-
-
-def eval_connection(member, x):
-    if isinstance(member, PolynomialConnection):
-        return member.map_one(x)
-    return member.map(x)
 
 
 # ---------------------------------------------------------------------------
@@ -379,11 +387,83 @@ class _ShatterWitnessOracle(SupOracle):
         return Witness(value=value, member=member)
 
 
-def sup_witness(cls, sample, sigma) -> Witness:
-    """Solve (or certify a lower bound for) sup over the class of the inner
-    product of sigma with the member values on the sample."""
-    oracle = cls.sup_oracle(sample)
-    return oracle.witness(np.asarray(sigma, dtype=float))
+# ---------------------------------------------------------------------------
+# x-only ERM
+
+
+@dataclass(frozen=True, eq=False)
+class UnimodalSolution:
+    """Fitted x-only member and its mean loss.  path names how the minimum
+    was found: "exact-lad", "enumeration-exact" or "grid-upper-bound" (an
+    upper bound on the true minimum, at the recorded grid resolution)."""
+
+    member: object
+    objective: float
+    path: str
+    grid_resolution: Optional[float] = None
+
+    def to_json(self) -> dict:
+        return {"member": self.member.to_json(), "objective": self.objective,
+                "grid_resolution": self.grid_resolution}
+
+
+def _grid_erm(objective, grid_points: int, refine: bool):
+    """Dense grid over (0, 1] plus golden-section refinement of the best cell.
+
+    The objective may be violently oscillatory, so the recorded resolution
+    is part of the result; refinement only replaces the grid optimum when it
+    actually improves it.
+    """
+    thetas = np.arange(1, grid_points + 1, dtype=float) / grid_points
+    best_val = math.inf
+    best_theta = thetas[-1]
+    block = 8192
+    for lo in range(0, grid_points, block):
+        chunk = thetas[lo:lo + block]
+        vals = objective(chunk)
+        j = int(np.argmin(vals))
+        if vals[j] < best_val:
+            best_val = float(vals[j])
+            best_theta = float(chunk[j])
+    if refine:
+        # scipy.optimize costs about 50 MB to import; load it where it is used
+        from scipy.optimize import minimize_scalar
+
+        lo = max(best_theta - 1.0 / grid_points, 1e-12)
+        hi = min(best_theta + 1.0 / grid_points, 1.0)
+        res = minimize_scalar(lambda t: float(objective(np.array([t]))[0]),
+                              bounds=(lo, hi), method="bounded",
+                              options={"xatol": 1e-12})
+        if res.fun < best_val:
+            best_val = float(res.fun)
+            best_theta = float(res.x)
+    return best_theta, best_val
+
+
+def _clipped_mean_losses(preds, zs, loss: Loss):
+    d = loss.scale * np.abs(preds - zs)
+    if loss.kind == "clipped-absolute":
+        d = np.minimum(d, 1.0)
+    return d.mean(axis=-1)
+
+
+def _grid_fit(member_at, values, xs, zs, loss, grid_points, refine):
+    """Grid ERM of the one-parameter family theta -> member_at(theta), whose
+    predictions at the rows xs are values(outer(thetas, xs))."""
+    def objective(thetas):
+        return _clipped_mean_losses(values(np.outer(thetas, xs)), zs, loss)
+    theta, val = _grid_erm(objective, grid_points, refine)
+    return UnimodalSolution(member=member_at(theta), objective=val,
+                            path="grid-upper-bound",
+                            grid_resolution=1.0 / grid_points)
+
+
+def _reads_x(self, instance, block):
+    return block.x[:, 0]
+
+
+def _reads_xy(self, instance, block):
+    return block.x[:, 0], block.y
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +472,14 @@ def sup_witness(cls, sample, sigma) -> Witness:
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+
+
+def _scalar_pairs(xs, ys):
+    """x and y as flat float vectors; a connection into R reads one y column."""
+    ys = np.asarray(ys, dtype=float)
+    if ys.ndim > 1 and ys.shape[1] != 1:
+        raise DomainError(f"the class maps x into R, but y has {ys.shape[1]} columns")
+    return np.asarray(xs, dtype=float).reshape(-1), ys.reshape(-1)
 
 
 def fit_scaling_lad(xs, ys, signed: bool = False):
@@ -452,12 +540,32 @@ class ScalingClass:
 
     signed: bool = False
 
+    oracle_input = _reads_x
+
     def fit_connection(self, xs, ys):
+        xs, ys = _scalar_pairs(xs, ys)
         theta = fit_scaling_lad(xs, ys, signed=self.signed)
-        member = ScalingConnection(theta)
-        residuals = np.abs(theta * np.asarray(xs, float).reshape(-1)
-                           - np.asarray(ys, float).reshape(-1))
-        return member, residuals
+        return ScalingConnection(theta), np.abs(theta * xs - ys)
+
+    def fit_x(self, xs, zs, loss: Loss, grid_points: int, refine: bool):
+        """The exact weighted-median LAD under plain absolute loss, the
+        recorded-resolution grid over (0, 1] otherwise."""
+        if loss.kind == "absolute" and loss.scale == 1.0:
+            theta = fit_scaling_lad(xs, zs, signed=self.signed)
+            return UnimodalSolution(member=ScalingConnection(theta),
+                                    objective=float(np.mean(np.abs(theta * xs - zs))),
+                                    path="exact-lad")
+        return _grid_fit(ScalingConnection, lambda p: p, xs, zs, loss,
+                         grid_points, refine)
+
+    def joint_candidates(self, per_eval: int, budget: int):
+        """Grid over (0, 1] sized to the evaluation budget, as (members,
+        zero-loss tolerance, whether the budget cut the grid short).  An
+        off-grid zero-loss parameter shows up at the grid resolution."""
+        affordable = budget // max(per_eval, 1)
+        points = max(1, min(100_000, affordable))
+        members = [ScalingConnection(float(i) / points) for i in range(1, points + 1)]
+        return members, 1.0 / points, affordable < 100_000
 
     def sup_oracle(self, sample):
         return _ScalingOracle(sample, signed=self.signed)
@@ -485,12 +593,24 @@ _ALL_TABLES = ((0, 0), (0, 1), (1, 0), (1, 1))
 class BooleanMapClass:
     """All four maps {0,1} -> {0,1}."""
 
+    oracle_input = _reads_x
+
     def members(self):
         return [BooleanConnection(t) for t in _ALL_TABLES]
 
+    def fit_x(self, xs, zs, loss: Loss, grid_points: int, refine: bool):
+        """Enumeration of the four tables; the first minimum wins."""
+        members = self.members()
+        values = [float(_clipped_mean_losses(m.map(xs), zs, loss)) for m in members]
+        best = int(np.argmin(values))
+        return UnimodalSolution(member=members[best], objective=values[best],
+                                path="enumeration-exact")
+
+    def joint_candidates(self, per_eval: int, budget: int):
+        return self.members(), 1e-12, False
+
     def fit_connection(self, xs, ys):
-        xs = np.asarray(xs, dtype=float).reshape(-1)
-        ys = np.asarray(ys, dtype=float).reshape(-1)
+        xs, ys = _scalar_pairs(xs, ys)
         best = None
         # lexicographic enumeration; strict improvement keeps the smallest table
         for table in _ALL_TABLES:
@@ -510,14 +630,6 @@ class BooleanMapClass:
         return {"class": "boolean-map"}
 
 
-def fit_boolean_table(samples):
-    """Exact minimizer of sum |g(x) - y| over the four boolean tables."""
-    xs = np.array([p[0] for p in samples], dtype=float)
-    ys = np.array([p[1] for p in samples], dtype=float)
-    member, residuals = BooleanMapClass().fit_connection(xs, ys)
-    return member.table, float(residuals.sum())
-
-
 @dataclass(frozen=True)
 class PolynomialClass:
     """Degree-d polynomial connections into R^k, outputs projected onto a
@@ -535,7 +647,7 @@ class PolynomialClass:
         vander = np.vander(xs, N=self.degree + 1, increasing=True)
         coeffs, _, rank, _ = np.linalg.lstsq(vander, ys, rcond=None)
         member = PolynomialConnection(coeffs=coeffs, radius=self.radius)
-        fitted = np.array([member.map_one(x) for x in xs])
+        fitted = np.array([member.map(x) for x in xs])
         residuals = np.linalg.norm(fitted - ys, axis=1)
         unique = rank == self.degree + 1
         return member, residuals, unique
@@ -551,16 +663,6 @@ class PolynomialClass:
                 "out_dim": self.out_dim, "radius": self.radius}
 
 
-def fit_polynomial_connection(pairs, degree: int, out_dim: Optional[int] = None):
-    """Least-squares polynomial fit; minimum-norm solution (flagged
-    non-unique) under rank deficiency."""
-    xs = np.array([p[0] for p in pairs], dtype=float)
-    ys = np.array([np.atleast_1d(p[1]) for p in pairs], dtype=float)
-    cls = PolynomialClass(degree=degree, out_dim=out_dim or ys.shape[1])
-    member, residuals, unique = cls.fit_connection(xs, ys)
-    return member, unique
-
-
 @dataclass(frozen=True)
 class TableLookupClass:
     """Lookup tables on a finite scalar support with values in [-1, 1]."""
@@ -568,8 +670,7 @@ class TableLookupClass:
     support: tuple
 
     def fit_connection(self, xs, ys):
-        xs = np.asarray(xs, dtype=float).reshape(-1)
-        ys = np.asarray(ys, dtype=float).reshape(-1)
+        xs, ys = _scalar_pairs(xs, ys)
         mapping = []
         residuals = np.empty(len(xs))
         for point in self.support:
@@ -640,6 +741,8 @@ class SineSingletonClass:
     support keeps y away from 0).
     """
 
+    oracle_input = _reads_xy
+
     def member(self):
         return SinePredictor()
 
@@ -649,6 +752,18 @@ class SineSingletonClass:
         member = self.member()
         preds = _row_predictions(member, block) if truth is None else truth
         return member, _total_loss(loss, preds, block.z) / len(block)
+
+    def comparator_risk(self, instance, t: int, loss: Loss, block) -> Fraction:
+        """Risk of sin(1/y) itself, read from the certified values on
+        lattice supports."""
+        if isinstance(instance, SineInstance) and block.support_index is not None:
+            preds = instance._z_floats[block.support_index].tolist()
+        else:
+            ys = block.y[:, 0].tolist()
+            if 0.0 in ys:
+                raise SingularityError("sin(1/y) undefined at y = 0")
+            preds = [math.sin(1.0 / y) for y in ys]
+        return mean_loss(loss, preds, block.z)
 
     def sup_oracle(self, sample):
         xs, ys = sample
@@ -675,6 +790,8 @@ class SineSingletonClass:
 class BooleanLookupClass:
     """f(x, y) = table[y] for the four boolean tables."""
 
+    oracle_input = _reads_xy
+
     def members(self):
         return [BooleanPredictor(t) for t in _ALL_TABLES]
 
@@ -685,6 +802,10 @@ class BooleanLookupClass:
             if best is None or total < best[0]:
                 best = (total, member)
         return best[1], best[0] / len(block)
+
+    def comparator_risk(self, instance, t: int, loss: Loss, block) -> Fraction:
+        return min(mean_loss(loss, _row_predictions(member, block), block.z)
+                   for member in self.members())
 
     def sup_oracle(self, sample):
         xs, ys = sample
@@ -712,6 +833,8 @@ class SignCompleteClass:
 
     bound: float = 1.0
 
+    oracle_input = _reads_x
+
     def fit_predictor(self, block, loss: Loss, truth=None):
         values = np.clip(block.z, -self.bound, self.bound).tolist()
         member = TabulatedPredictor(tuple(
@@ -736,9 +859,9 @@ class SignCompleteClass:
         slot, groups = cls._slots(points)
         return np.bincount(slot, minlength=groups).tolist()
 
-    def population_risk(self, xs, zs, loss: Loss):
-        """Best risk of x-only prediction under the uniform law on the rows
-        (xs, zs), as (risk, member): each distinct x takes its own value.
+    def fit_x(self, xs, zs, loss: Loss, grid_points: int, refine: bool):
+        """Exact x-only ERM on the rows (xs, zs): each distinct x takes its
+        own value, so the minimum splits over the groups of equal x.
 
         The loss is piecewise linear in the value with convex kinks only at
         the labels, so a group's minimum sits at a clipped label or a bound.
@@ -755,7 +878,14 @@ class SignCompleteClass:
                 for v in sorted(candidates | {-self.bound, self.bound}))
             total += group_loss
             mapping.append((x, value))
-        return total / len(xs), TableConnection(tuple(mapping))
+        return UnimodalSolution(member=TableConnection(tuple(mapping)),
+                                objective=total / len(xs), path="enumeration-exact")
+
+    def comparator_risk(self, instance, t: int, loss: Loss, block) -> Fraction:
+        # every map is in the class, so the pointwise best value clip(z) is
+        # also the population minimizer
+        preds = [min(max(z, -self.bound), self.bound) for z in block.z.tolist()]
+        return mean_loss(loss, preds, block.z)
 
     def sup_oracle(self, sample):
         return _SignCompleteOracle(*self._slots(sample), self.bound)
@@ -908,6 +1038,18 @@ class ComposedSineClass:
             raise DomainError("theta must lie in (0, 1]")
         return SineComposition(theta)
 
+    def fit_x(self, xs, zs, loss: Loss, grid_points: int, refine: bool):
+        return _grid_fit(SineComposition, lambda p: np.sin(1.0 / p), xs, zs,
+                         loss, grid_points, refine)
+
+    def oracle_input(self, instance, block):
+        """The lattice indices of the rows: the oracle certifies patterns on
+        the exact lattice, which float x cannot carry."""
+        if not isinstance(instance, SineInstance) or block.support_index is None:
+            raise DomainError("the composed sine oracle needs draws from a "
+                              "lattice sine instance")
+        return [instance.support[p] for p in block.support_index.tolist()]
+
     def sup_oracle(self, sample=None):
         idx = self.indices if sample is None else tuple(sample)
         if idx is None:
@@ -931,6 +1073,18 @@ class XOnlyPredictorClass:
     """
 
     inner: object
+
+    oracle_input = _reads_xy
+
+    def comparator_risk(self, instance, t: int, loss: Loss, block) -> Fraction:
+        """The inner class's x-only ERM on the support of task t, which is
+        its population minimizer under the uniform law there."""
+        support = instance.support_enumeration(t)
+        if support is None:
+            raise DomainError("population risk needs a finite support")
+        solution = self.inner.fit_x(support.x[:, 0], support.z, loss,
+                                    grid_points=100_000, refine=False)
+        return Fraction(solution.objective)
 
     def sup_oracle(self, sample):
         xs, _ = sample

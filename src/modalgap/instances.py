@@ -147,6 +147,24 @@ class SineInstance:
             raise DomainError("continuous support has no minimum y")
         return float(np.min(self._y_floats))
 
+    def to_json(self) -> dict:
+        data = {"family": "sine",
+                "support": list(self.support) if self.support else None}
+        if self.witness is not None:
+            data["witness"] = certificate_to_json(self.witness)
+        else:
+            data["theta_star"] = self.theta_star
+        return data
+
+    @staticmethod
+    def from_json(data: dict) -> "SineInstance":
+        support = data.get("support")
+        if data.get("witness") is not None:
+            cert = certificate_from_json(data["witness"])
+            return SineInstance(witness=cert, support=tuple(support))
+        return make_sine(data["theta_star"],
+                         support=tuple(support) if support else None)
+
 
 def make_sine(theta_star: float, support=None) -> SineInstance:
     """Sine family instance; support None = continuous, int m = indices 1..m,
@@ -223,6 +241,13 @@ class ThreeParamInstance:
     def support_enumeration(self, t):
         return None
 
+    def to_json(self) -> dict:
+        return {"family": "three-param", "label_rule": self.label_rule}
+
+    @staticmethod
+    def from_json(data: dict) -> "ThreeParamInstance":
+        return make_three_param(data.get("label_rule", "sine-of-sum"))
+
 
 def make_three_param(label_rule: str = "sine-of-sum") -> ThreeParamInstance:
     return ThreeParamInstance(label_rule=label_rule)
@@ -267,6 +292,13 @@ class BooleanInstance:
     def support_enumeration(self, t: int):
         """The four support points as one labeled block, uniform over its rows."""
         return self._patterns(t, np.arange(4))
+
+    def to_json(self) -> dict:
+        return {"family": "boolean", "tables": [list(t) for t in self.tables]}
+
+    @staticmethod
+    def from_json(data: dict) -> "BooleanInstance":
+        return make_boolean(tuple(tuple(t) for t in data["tables"]))
 
 
 def make_boolean(tables) -> BooleanInstance:
@@ -327,6 +359,21 @@ class SubspaceInstance:
 
     def support_enumeration(self, t):
         return None
+
+    def to_json(self) -> dict:
+        rule = self.label_rule
+        rule_json = rule.to_json() if hasattr(rule, "to_json") else "custom"
+        return {"family": "subspace", "v": list(self.v),
+                "y0": list(self.y0), "label_rule": rule_json}
+
+    @staticmethod
+    def from_json(data: dict) -> "SubspaceInstance":
+        rule = data.get("label_rule")
+        label = None
+        if isinstance(rule, dict) and rule.get("rule") == "hyperplane":
+            label = HyperplaneLabel(wx=rule["wx"], wy=tuple(rule["wy"]),
+                                    offset=rule["offset"])
+        return make_subspace(data["v"], data["y0"], label_rule=label)
 
 
 def make_subspace(v, y0, label_rule=None) -> SubspaceInstance:
@@ -407,6 +454,15 @@ class SeparableInstance:
     def support_enumeration(self, t):
         return None
 
+    def to_json(self) -> dict:
+        return {"family": "separable",
+                "breakpoints": [[str(a), str(b)] for a, b in self.breakpoints]}
+
+    @staticmethod
+    def from_json(data: dict) -> "SeparableInstance":
+        pts = tuple((Fraction(a), Fraction(b)) for a, b in data["breakpoints"])
+        return make_separable(pts)
+
 
 def make_separable(breakpoints) -> SeparableInstance:
     return SeparableInstance(breakpoints=tuple(breakpoints))
@@ -436,63 +492,25 @@ def make_separable_from_fixed_points(points, wobble=Fraction(1, 4)) -> Separable
 
 
 def instance_to_json(instance) -> dict:
-    if isinstance(instance, SineInstance):
-        data = {"family": "sine",
-                "support": list(instance.support) if instance.support else None}
-        if instance.witness is not None:
-            data["witness"] = certificate_to_json(instance.witness)
-        else:
-            data["theta_star"] = instance.theta_star
-        return data
-    if isinstance(instance, ThreeParamInstance):
-        return {"family": "three-param", "label_rule": instance.label_rule}
-    if isinstance(instance, BooleanInstance):
-        return {"family": "boolean", "tables": [list(t) for t in instance.tables]}
-    if isinstance(instance, SubspaceInstance):
-        rule = instance.label_rule
-        rule_json = rule.to_json() if hasattr(rule, "to_json") else "custom"
-        return {"family": "subspace", "v": list(instance.v),
-                "y0": list(instance.y0), "label_rule": rule_json}
-    if isinstance(instance, SeparableInstance):
-        return {"family": "separable",
-                "breakpoints": [[str(a), str(b)] for a, b in instance.breakpoints]}
-    raise UnsupportedFamily(instance)
+    return instance.to_json()
 
 
 class UnsupportedFamily(ModalgapError, TypeError):
-    """An instance family the lab cannot write to or read from JSON."""
+    """An instance family the lab cannot read from JSON."""
+
+
+_FAMILIES = {"sine": SineInstance, "three-param": ThreeParamInstance,
+             "boolean": BooleanInstance, "subspace": SubspaceInstance,
+             "separable": SeparableInstance}
 
 
 def instance_from_json(data: dict):
     try:
-        return _instance_from_json(data)
+        family = _FAMILIES.get(data["family"])
+        if family is None:
+            raise UnsupportedFamily(data["family"])
+        return family.from_json(data)
     except UnsupportedFamily:
         raise
     except (KeyError, TypeError) as err:   # a missing field, or not an object
         raise DomainError(f"malformed instance JSON: {err!r}") from err
-
-
-def _instance_from_json(data: dict):
-    family = data["family"]
-    if family == "sine":
-        support = data.get("support")
-        if data.get("witness") is not None:
-            cert = certificate_from_json(data["witness"])
-            return SineInstance(witness=cert, support=tuple(support))
-        return make_sine(data["theta_star"],
-                         support=tuple(support) if support else None)
-    if family == "three-param":
-        return make_three_param(data.get("label_rule", "sine-of-sum"))
-    if family == "boolean":
-        return make_boolean(tuple(tuple(t) for t in data["tables"]))
-    if family == "subspace":
-        rule = data.get("label_rule")
-        label = None
-        if isinstance(rule, dict) and rule.get("rule") == "hyperplane":
-            label = HyperplaneLabel(wx=rule["wx"], wy=tuple(rule["wy"]),
-                                    offset=rule["offset"])
-        return make_subspace(data["v"], data["y0"], label_rule=label)
-    if family == "separable":
-        pts = tuple((Fraction(a), Fraction(b)) for a, b in data["breakpoints"])
-        return make_separable(pts)
-    raise UnsupportedFamily(family)

@@ -7,7 +7,12 @@ from pathlib import Path
 import pytest
 
 from modalgap.cli import main
-from modalgap.instances import instance_to_json, make_sine
+from modalgap.core import CLIPPED_ABS, SeedSpec, draw_labeled
+from modalgap.erm import fit_unimodal
+from modalgap.hypotheses import SignCompleteClass
+from modalgap.instances import (instance_to_json, make_boolean,
+                                make_separable_from_fixed_points, make_sine,
+                                make_subspace, make_three_param)
 
 
 def read(path: Path):
@@ -119,6 +124,10 @@ def test_config_file_supplies_defaults(tmp_path):
 
 
 SINE_8 = instance_to_json(make_sine(0.7, support=8))
+SUBSPACE_3 = instance_to_json(make_subspace([0.6, 0.0, 0.8], [0.1, 0.0, 0.2]))
+SEPARABLE = instance_to_json(make_separable_from_fixed_points([0, 0.5, 1]))
+THREE_PARAM = instance_to_json(make_three_param())
+BOOLEAN_1 = instance_to_json(make_boolean([(0, 1)]))
 
 
 @pytest.mark.parametrize("instance, argv", [
@@ -126,7 +135,6 @@ SINE_8 = instance_to_json(make_sine(0.7, support=8))
     ({}, ["fit-multimodal"]),
     ([], ["fit-multimodal"]),
     (SINE_8, ["fit-unimodal", "--cls", "singleton"]),
-    (SINE_8, ["fit-unimodal", "--cls", "sign-complete"]),
     (SINE_8, ["gap", "--cls", "singleton", "--resamples", "2", "--draws", "100"]),
     (None, ["gaussavg", "--cls", "composed-sine"]),
     (None, ["gaussavg", "--cls", "scaling"]),
@@ -137,11 +145,21 @@ SINE_8 = instance_to_json(make_sine(0.7, support=8))
     (None, ["separation", "--n", "2", "--trials", "2", "--grid", "0"]),
     (None, ["repr-compare", "--n", "0"]),
     (None, ["gap", "--resamples", "0", "--draws", "50"]),
+    (SUBSPACE_3, ["realizability"]),
+    (SUBSPACE_3, ["realizability", "--cls", "boolean"]),
+    (SUBSPACE_3, ["fit-multimodal"]),
+    (SUBSPACE_3, ["bound"]),
+    (SEPARABLE, ["bound"]),
+    (THREE_PARAM, ["bound"]),
+    (BOOLEAN_1, ["gap", "--resamples", "2", "--draws", "100"]),
 ], ids=["unknown-family", "no-family", "not-an-object", "fit-unimodal-singleton",
-        "fit-unimodal-sign-complete", "gap-singleton",
+        "gap-singleton",
         "gaussavg-no-indices", "gaussavg-no-points", "necessity-no-trials",
         "necessity-no-points", "fit-joint-no-budget", "separation-no-trials",
-        "separation-no-grid", "repr-compare-no-points", "gap-no-resamples"])
+        "separation-no-grid", "repr-compare-no-points", "gap-no-resamples",
+        "realizability-subspace", "realizability-boolean-subspace",
+        "fit-multimodal-subspace", "bound-subspace", "bound-separable",
+        "bound-three-param", "gap-boolean"])
 def test_lab_errors_exit_one(tmp_path, capsys, instance, argv):
     if instance is not None:
         path = tmp_path / "instance.json"
@@ -171,6 +189,23 @@ def test_gaussavg_sign_complete_beyond_twenty_points(tmp_path):
     est = read(out / "estimate.json")
     assert est["mode"] == "enumeration-exact"
     assert est["closed_form"] == pytest.approx(21 * math.sqrt(2.0 / math.pi))
+
+
+def test_fit_unimodal_sign_complete(tmp_path):
+    # every map of the sample points is a member, so the x-only ERM is an
+    # exact enumeration over the groups of equal x
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(SINE_8))
+    out = tmp_path / "fit"
+    assert main(["fit-unimodal", "--cls", "sign-complete", "--instance", str(path),
+                 "--seed", "3", "--out", str(out)]) == 0
+    sol = read(out / "solution.json")
+    assert math.isfinite(sol["objective"]) and sol["member"]["member"] == "table"
+    block = draw_labeled(make_sine(0.7, support=8), 1, 8, SeedSpec(3)).tasks[0]
+    again = fit_unimodal(list(zip(block.x[:, 0], block.z)), SignCompleteClass(),
+                         CLIPPED_ABS)
+    assert again.path == "enumeration-exact"
+    assert again.objective == sol["objective"]
 
 
 def test_gap_sign_complete_defaults(tmp_path):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from modalgap.cli import _CLASSES
 from modalgap.core import (ABSOLUTE, CLIPPED_ABS, Block, DomainError,
                            MultiSample, SeedSpec, UnsupportedClassError,
                            draw_labeled, draw_unlabeled)
@@ -143,6 +144,22 @@ def test_unimodal_finite_class_enumeration():
     assert sol.member.table == (1, 0)
     assert sol.objective == 0.0
     assert sol.path == "enumeration-exact"
+
+
+@pytest.mark.parametrize("name", sorted(_CLASSES))
+def test_every_cli_class_fits_on_x_or_says_it_cannot(name):
+    cls = _CLASSES[name]
+    xz = [(0.25, 0.5), (0.5, -0.5), (1.0, 0.9)]
+    if name == "singleton":
+        with pytest.raises(UnsupportedClassError):
+            fit_unimodal(xz, cls, CLIPPED_ABS)
+        return
+    sol = fit_unimodal(xz, cls, CLIPPED_ABS, grid_points=500)
+    assert math.isfinite(sol.objective) and sol.path in (
+        "exact-lad", "enumeration-exact", "grid-upper-bound")
+    preds = [float(np.atleast_1d(sol.member.map(x))[0]) for x, _ in xz]
+    loss = np.mean([min(abs(p - z), 1.0) for p, (_, z) in zip(preds, xz)])
+    assert loss == pytest.approx(sol.objective, rel=1e-12, abs=1e-15)
 
 
 def test_unimodal_rejects_singleton():

@@ -129,6 +129,37 @@ RUNS = {
     "gaussavg-composed-sine": lambda tmp: [
         "gaussavg", "--cls", "composed-sine", "--indices", "1,2,3,4,5,6,7,8",
         "--draws", "2000", "--seed", "3"],
+    "gap-default": lambda tmp: [
+        "gap", "--n", "6", "--support", "16", "--draws", "300",
+        "--resamples", "3", "--seed", "8"],
+    "gap-scaling": lambda tmp: [
+        "gap", "--cls", "scaling", "--n", "6", "--support", "16",
+        "--draws", "300", "--resamples", "3", "--seed", "8"],
+    "gap-sign-complete": lambda tmp: [
+        "gap", "--cls", "sign-complete", "--n", "6", "--support", "16",
+        "--draws", "300", "--resamples", "3", "--seed", "8"],
+    "fit-unimodal-composed-sine": lambda tmp: [
+        "fit-unimodal", "--instance", _instance_file(tmp, make_sine(0.7, support=12)),
+        "--n", "8", "--grid", "5000", "--seed", "9"],
+    "fit-unimodal-scaling": lambda tmp: [
+        "fit-unimodal", "--instance", _instance_file(tmp, make_sine(0.7, support=12)),
+        "--cls", "scaling", "--n", "8", "--grid", "5000", "--seed", "9"],
+    "fit-unimodal-boolean": lambda tmp: [
+        "fit-unimodal", "--instance", _instance_file(tmp, make_boolean(((0, 1),))),
+        "--cls", "boolean", "--n", "8", "--seed", "9"],
+    "realizability-scaling": lambda tmp: [
+        "realizability", "--instance", _instance_file(tmp, make_sine(0.7, support=12)),
+        "--m", "30", "--seed", "10"],
+    "realizability-boolean": lambda tmp: [
+        "realizability", "--instance",
+        _instance_file(tmp, make_boolean(((0, 1), (1, 1)))),
+        "--cls", "boolean", "--T", "2", "--m", "30", "--seed", "10"],
+    "bound": lambda tmp: ["bound", "--n", "6", "--m", "40", "--T", "2",
+                          "--seed", "11"],
+    "fit-multimodal-sign-complete": lambda tmp: [
+        "fit-multimodal", "--instance", _instance_file(tmp, make_sine(0.7, support=12)),
+        "--predictor", "sign-complete", "--n", "6", "--m", "20", "--T", "2",
+        "--seed", "12"],
 }
 
 RESULT_HASHES = {
@@ -187,6 +218,46 @@ RESULT_HASHES = {
     "gaussavg-composed-sine": {
         "estimate.json":
             "3ad7ac4bb38ceb74f808c8d4c8434e134f4b645eeefa2ab3fd5a305fd41a28eb",
+    },
+    "gap-default": {
+        "gap.json":
+            "a1813c7bb79e7d0ccf5539cfcdd932f8ebf7be5a00a3bdb5aed7f9b99c873914",
+    },
+    "gap-scaling": {
+        "gap.json":
+            "30b4ff6214b5f59dcc8c9c17ac7c57eb9e3641d49eb1eb5eb0a0952b8e2b7eba",
+    },
+    "gap-sign-complete": {
+        "gap.json":
+            "ca7a0208b2d8cc58512a3b409939aec7bebe1b7ca49d02d49b17273403974e61",
+    },
+    "fit-unimodal-composed-sine": {
+        "solution.json":
+            "a920b5a1c3e4db182d6a53954551a7bc624cabb9a503890ab0d99a7810fe2ef1",
+    },
+    "fit-unimodal-scaling": {
+        "solution.json":
+            "2035e2373d561f3b7d4f08351e6af2e9b2eb5c549070594d5b832c248f811a0c",
+    },
+    "fit-unimodal-boolean": {
+        "solution.json":
+            "f79c46fd5a7ea71ce756bf691a81668069825ba9b7939b8a1505483e69d30c50",
+    },
+    "realizability-scaling": {
+        "realizability.json":
+            "613512ffc243e840775024b8d72a4be05e7b49019cf31d66afdc97654cb0f96c",
+    },
+    "realizability-boolean": {
+        "realizability.json":
+            "ff9d87a199157ad5bf3f751ebfd3248f840468c7a7155ec744085017f53389a4",
+    },
+    "bound": {
+        "bound.json":
+            "ceddacfa8efaab63412ffb7efefbbc25f2ff77bac1f45b9ae0751a55aa20305b",
+    },
+    "fit-multimodal-sign-complete": {
+        "solution.json":
+            "3fc99c20d5b232281e13227386f1872511587e4e6bdf01c9c65217f57a810b2e",
     },
 }
 

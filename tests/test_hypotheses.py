@@ -14,11 +14,8 @@ from modalgap.hypotheses import (BooleanMapClass,
                                  SignCompleteClass, SinePredictor,
                                  SineSingletonClass,
                                  SmoothedHyperplaneClass,
-                                 TableLookupClass, eval_connection,
-                                 fit_boolean_table,
-                                 fit_polynomial_connection, fit_scaling_lad,
-                                 fit_scaling_lad_exact, measured_lipschitz,
-                                 sup_witness)
+                                 TableLookupClass, fit_scaling_lad,
+                                 fit_scaling_lad_exact, measured_lipschitz)
 
 
 def lad_objective(theta, xs, ys):
@@ -33,7 +30,7 @@ def grid_lad_oracle(xs, ys, step=1e-4):
 
 
 def test_eval_examples():
-    assert eval_connection(ScalingConnection(0.5), 0.8) == 0.4
+    assert ScalingConnection(0.5).map(0.8) == 0.4
     assert SinePredictor().predict([0.1], [2.0 / math.pi]) == pytest.approx(1.0)
     cls = SmoothedHyperplaneClass(dim=2, epsilon=0.1)
     member = cls.member(np.array([1.0, 0.0]), 0.0)
@@ -80,16 +77,17 @@ def test_lad_exact_matches_float_on_rationals():
 
 
 def test_boolean_fit_examples_and_exhaustive_audit():
-    table, residual = fit_boolean_table([(0, 0), (0, 0), (1, 1)])
-    assert table == (0, 1) and residual == 0.0
-    table, residual = fit_boolean_table([(0, 0), (0, 1)])
-    assert residual == 1.0   # any table errs once; R contribution 1/2
+    cls = BooleanMapClass()
+    member, residuals = cls.fit_connection([0, 0, 1], [0, 0, 1])
+    assert member.table == (0, 1) and residuals.sum() == 0.0
+    _, residuals = cls.fit_connection([0, 0], [0, 1])
+    assert residuals.sum() == 1.0   # any table errs once; R contribution 1/2
     rng = np.random.default_rng(3)
     for _ in range(50):
         n = int(rng.integers(1, 20))
         xs = rng.integers(0, 2, size=n)
         ys = rng.integers(0, 2, size=n)
-        _, best = fit_boolean_table(list(zip(xs, ys)))
+        best = cls.fit_connection(xs, ys)[1].sum()
         exhaustive = min(
             sum(abs((t1 if x else t0) - y) for x, y in zip(xs, ys))
             for t0 in (0, 1) for t1 in (0, 1))
@@ -102,8 +100,8 @@ def test_polynomial_recovers_affine_connection():
     v = rng.uniform(-0.3, 0.3, size=k)
     y0 = rng.uniform(-0.3, 0.3, size=k)
     xs = rng.uniform(-1, 1, size=2 * k + 3)
-    pairs = [(x, x * v + y0) for x in xs]
-    member, unique = fit_polynomial_connection(pairs, degree=k)
+    member, _, unique = PolynomialClass(degree=k, out_dim=k).fit_connection(
+        xs, np.outer(xs, v) + y0)
     assert unique
     assert np.allclose(member.coeffs[0], y0, atol=1e-10)
     assert np.allclose(member.coeffs[1], v, atol=1e-10)
@@ -111,23 +109,24 @@ def test_polynomial_recovers_affine_connection():
 
 
 def test_polynomial_rank_deficiency_flagged():
-    pairs = [(0.5, np.array([0.1])), (0.5, np.array([0.3]))]
-    member, unique = fit_polynomial_connection(pairs, degree=2)
+    member, _, unique = PolynomialClass(degree=2, out_dim=1).fit_connection(
+        [0.5, 0.5], [[0.1], [0.3]])
     assert not unique
     # minimum-norm least squares still returns a usable member
-    assert member.map_one(0.5).shape == (1,)
+    assert member.map(0.5).shape == (1,)
 
 
 def test_polynomial_projection_bounds_output():
-    member, _ = fit_polynomial_connection(
-        [(1.0, np.array([5.0, 0.0])), (0.5, np.array([2.5, 0.0]))], degree=1)
-    assert np.linalg.norm(member.map_one(1.0)) <= 2.0 + 1e-12
+    member, _, _ = PolynomialClass(degree=1, out_dim=2).fit_connection(
+        [1.0, 0.5], [[5.0, 0.0], [2.5, 0.0]])
+    assert np.linalg.norm(member.map(1.0)) <= 2.0 + 1e-12
 
 
 def test_sup_witness_scaling():
-    w = sup_witness(ScalingClass(), np.array([1.0]), np.array([2.0]))
+    oracle = ScalingClass().sup_oracle(np.array([1.0]))
+    w = oracle.witness(np.array([2.0]))
     assert w.value == 2.0 and w.attained and w.member.theta == 1.0
-    w = sup_witness(ScalingClass(), np.array([1.0]), np.array([-2.0]))
+    w = oracle.witness(np.array([-2.0]))
     assert w.value == 0.0 and not w.attained
 
 
@@ -135,7 +134,7 @@ def test_sup_witness_composed_sine_lower_bound():
     rng = np.random.default_rng(8)
     for n in (2, 5, 9):
         sigma = rng.standard_normal(n)
-        w = sup_witness(ComposedSineClass(), list(range(1, n + 1)), sigma)
+        w = ComposedSineClass().sup_oracle(list(range(1, n + 1))).witness(sigma)
         assert w.value >= 0.5 * np.abs(sigma).sum()
         assert 0.0 < w.member.theta <= 1.0
 
@@ -147,7 +146,7 @@ def test_sup_witness_feasibility_vs_enumeration():
     xs = rng.integers(0, 2, size=6).astype(float)
     for _ in range(50):
         sigma = rng.standard_normal(6)
-        w = sup_witness(cls, xs, sigma)
+        w = cls.sup_oracle(xs).witness(sigma)
         values = [float(sigma @ m.map(xs)) for m in cls.members()]
         assert w.value == pytest.approx(max(values), abs=1e-12)
         assert w.member.table in [(0, 0), (0, 1), (1, 0), (1, 1)]

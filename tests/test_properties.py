@@ -112,7 +112,10 @@ def test_sign_complete_population_risk_matches_value_scan(rows, bound, kind,
     loss = Loss(kind, scale)
     xs = np.array([float(x) for x, _ in rows])
     zs = np.array([z for _, z in rows])
-    risk, member = SignCompleteClass(bound=bound).population_risk(xs, zs, loss)
+    solution = SignCompleteClass(bound=bound).fit_x(xs, zs, loss,
+                                                   grid_points=1, refine=False)
+    assert solution.path == "enumeration-exact"
+    risk, member = solution.objective, solution.member
     preds = member.map(xs)
     assert np.all(np.abs(preds) <= bound)
     assert sum(loss_eval(loss, p, z) for p, z in zip(preds, zs)) / len(xs) == \
