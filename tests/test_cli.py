@@ -74,8 +74,8 @@ def test_separation_command_and_rerun_bytes(tmp_path):
     args = ["separation", "--n", "2", "--trials", "6", "--grid", "5000",
             "--seed", "1"]
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(args + ["--out", str(out1), "--workers", "1"]) == 0
-    assert main(args + ["--out", str(out2), "--workers", "3"]) == 0
+    assert main(args + ["--out", str(out1)]) == 0
+    assert main(args + ["--out", str(out2)]) == 0
     for name in ("separation.json", "separation.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 

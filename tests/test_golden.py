@@ -90,10 +90,18 @@ def test_sample_csv_hash(family, kind):
     assert sha(sample_to_csv(sample).encode()) == SAMPLE_HASHES[family, kind]
 
 
-def _instance_file(tmp_path, instance):
+def _json_file(tmp_path, data):
     path = tmp_path / "instance.json"
-    path.write_text(json.dumps(instance_to_json(instance)))
+    path.write_text(json.dumps(data))
     return str(path)
+
+
+def _instance_file(tmp_path, instance):
+    return _json_file(tmp_path, instance_to_json(instance))
+
+
+# an instance file as a user writes it: the label rule is left out
+SUBSPACE_1 = {"family": "subspace", "v": [0.6], "y0": [0.1]}
 
 
 SHATTER_SIGNS = "+-+--++-+++---+-"
@@ -160,6 +168,18 @@ RUNS = {
         "fit-multimodal", "--instance", _instance_file(tmp, make_sine(0.7, support=12)),
         "--predictor", "sign-complete", "--n", "6", "--m", "20", "--T", "2",
         "--seed", "12"],
+    "repr-compare": lambda tmp: ["repr-compare", "--n", "6", "--k", "8",
+                                 "--draws", "1000", "--seed", "2"],
+    # the estimate is the same for any worker count
+    "gap-default-workers-3": lambda tmp: [
+        "gap", "--n", "6", "--support", "16", "--draws", "300",
+        "--resamples", "3", "--seed", "8", "--workers", "3"],
+    "gaussavg-boolean": lambda tmp: [
+        "gaussavg", "--cls", "boolean", "--points", "0,1,1,0", "--draws", "500"],
+    "fit-unimodal-subspace": lambda tmp: [
+        "fit-unimodal", "--instance", _json_file(tmp, SUBSPACE_1), "--cls", "scaling"],
+    "fit-joint-subspace": lambda tmp: [
+        "fit-joint", "--instance", _json_file(tmp, SUBSPACE_1), "--budget", "2000"],
 }
 
 RESULT_HASHES = {
@@ -259,7 +279,24 @@ RESULT_HASHES = {
         "solution.json":
             "3fc99c20d5b232281e13227386f1872511587e4e6bdf01c9c65217f57a810b2e",
     },
+    "repr-compare": {
+        "repr_compare.json":
+            "724640ceb8dac29325053a93912813f8ebac69a3bbb03d18f346dc49d636660c",
+    },
+    "gaussavg-boolean": {
+        "estimate.json":
+            "a5abb904be6098ae777b8b5fe53082e36a67f4d86c536830b4eb89c936e8290c",
+    },
+    "fit-unimodal-subspace": {
+        "solution.json":
+            "5409631d22944aa8ba5e104e8d2c2e2eb74466b35540c6f5c00f8b7e98e8a01c",
+    },
+    "fit-joint-subspace": {
+        "solution.json":
+            "8b995655d8be5fea2abed85abc80d34f570c4b7f4bdc84f226dfeb6a883edcd2",
+    },
 }
+RESULT_HASHES["gap-default-workers-3"] = RESULT_HASHES["gap-default"]
 
 
 @pytest.mark.parametrize("run", sorted(RUNS))
