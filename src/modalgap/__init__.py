@@ -14,9 +14,8 @@ from .instances import (BooleanInstance, SeparableInstance, SineInstance,
                         make_sine, make_sine_shattered, make_sine_subset,
                         make_subspace, make_three_param)
 from .hypotheses import (BooleanLookupClass, BooleanMapClass,
-                         ComposedSineClass, PolynomialClass, ScalingClass,
-                         SignCompleteClass, SineSingletonClass,
-                         SmoothedHyperplaneClass, TableLookupClass,
+                         ComposedSineClass, ScalingClass, SignCompleteClass,
+                         SineSingletonClass, SmoothedHyperplaneClass,
                          fit_scaling_lad)
 from .complexity import (ComplexityEstimate, RealizabilityReport,
                          approximate_realizability, gaussian_average,

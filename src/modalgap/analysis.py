@@ -231,15 +231,16 @@ class GapReport:
 
 def heterogeneity_gap(instance, unimodal_cls, predictor_cls, n: int,
                       draws: int = 2000, resamples: int = 30,
-                      seed: SeedSpec = SeedSpec(7), loss: Loss = ABSOLUTE,
+                      seed: SeedSpec = SeedSpec(7),
                       grid_points: int = 100_000, workers: int = 1) -> GapReport:
     """Estimate the heterogeneity gap for one distribution.
 
     The outer expectation over the size-n sample is averaged over resamples;
     the two inner complexity estimates share draw streams so identical
-    classes cancel exactly.  Risk components are computed on the population
-    (exact where the class admits it; the composed-sine grid value is an
-    upper bound on the true best risk and is tagged in components).
+    classes cancel exactly.  Risk components are population risks under the
+    absolute loss (exact where the class admits it; the composed-sine grid
+    value is an upper bound on the true best risk and is tagged in
+    components).
     """
     if resamples < 1:
         raise DomainError("the gap needs at least one resample")
@@ -264,8 +265,8 @@ def heterogeneity_gap(instance, unimodal_cls, predictor_cls, n: int,
     if support is None:
         raise DomainError("gap risks need a finite-support instance")
     g_risk, _, g_method = best_unimodal_population_risk(
-        instance, unimodal_cls, loss, grid_points=grid_points)
-    f_risk = float(predictor_cls.comparator_risk(instance, 0, loss, support))
+        instance, unimodal_cls, ABSOLUTE, grid_points=grid_points)
+    f_risk = float(predictor_cls.comparator_risk(instance, 0, ABSOLUTE, support))
 
     h = (g_avg + g_risk) - (f_avg + f_risk)
     intrinsic = g_risk - f_risk
@@ -332,16 +333,14 @@ class SeparationStats:
 
 def unimodal_failure_experiment(n: int, trials: int, seed: SeedSpec,
                                 m: Optional[int] = None,
-                                grid_points: int = 100_000,
-                                unlabeled_m: Optional[int] = None,
-                                loss: Loss = CLIPPED_ABS) -> SeparationStats:
+                                grid_points: int = 100_000) -> SeparationStats:
     """Draw shattered lattice distributions (support size m = n^3), run the
-    unimodal grid ERM and the two-stage fit on the same trials, and report
-    excess risks plus the duplicate-free-sample frequency."""
+    unimodal grid ERM and the two-stage fit (on n unlabeled pairs) on the
+    same trials under the clipped absolute loss, and report excess risks
+    plus the duplicate-free-sample frequency."""
     if n < 1 or trials < 1:
         raise DomainError("n and trials must be at least 1")
     m = m if m is not None else n ** 3
-    unlabeled_m = unlabeled_m if unlabeled_m is not None else n
     uni = np.empty(trials)
     multi = np.empty(trials)
     dupfree = np.zeros(trials, dtype=bool)
@@ -355,16 +354,17 @@ def unimodal_failure_experiment(n: int, trials: int, seed: SeedSpec,
         instance = make_sine_shattered(signs, indices=range(1, m + 1))
 
         labeled = draw_labeled(instance, 1, n, root)
-        unlabeled = draw_unlabeled(instance, 1, unlabeled_m, root)
+        unlabeled = draw_unlabeled(instance, 1, n, root)
         block = labeled.tasks[0]
         dupfree[trial] = len(np.unique(block.support_index)) == n
 
         tilde = fit_unimodal(np.column_stack((block.x[:, 0], block.z)), composed,
-                             loss, grid_points=grid_points)
-        uni[trial] = excess_risk(tilde, instance, singleton, loss).excess
+                             CLIPPED_ABS, grid_points=grid_points)
+        uni[trial] = excess_risk(tilde, instance, singleton, CLIPPED_ABS).excess
 
-        solution = fit_multimodal(labeled, unlabeled, scaling, singleton, loss)
-        multi[trial] = excess_risk(solution, instance, singleton, loss).excess
+        solution = fit_multimodal(labeled, unlabeled, scaling, singleton,
+                                  CLIPPED_ABS)
+        multi[trial] = excess_risk(solution, instance, singleton, CLIPPED_ABS).excess
     return SeparationStats(n=n, m=m, trials=trials, unimodal_excess=uni,
                            multimodal_excess=multi, duplicate_free=dupfree)
 
@@ -530,15 +530,15 @@ class ReprComparisonReport:
 
 def representation_comparison(n: int, k: int, seed: SeedSpec,
                               draws: int = 4096,
-                              epsilon: Optional[float] = None,
                               workers: int = 1) -> ReprComparisonReport:
     """Paired complexity estimates behind the sqrt(n) representation-learning
-    separation; both use the same draw streams so the ratio is paired."""
+    separation, for the hyperplane class with margin 1/(10 sqrt(k)); both use
+    the same draw streams so the ratio is paired."""
     if n < 1:
         raise DomainError("the comparison needs at least one point")
     if n > k:
         raise DomainError("shattering needs n <= k")
-    eps = epsilon if epsilon is not None else 1.0 / (10.0 * math.sqrt(k))
+    eps = 1.0 / (10.0 * math.sqrt(k))
     rng = seed.child("sample").generator()
     v = rng.standard_normal(k)
     v *= 0.9 / np.linalg.norm(v)
@@ -553,7 +553,7 @@ def representation_comparison(n: int, k: int, seed: SeedSpec,
     basis[np.arange(n), np.arange(n)] = 1.0
     adversarial_points = np.column_stack([xs, basis])
 
-    cls = SmoothedHyperplaneClass(dim=1 + k, epsilon=eps)
+    cls = SmoothedHyperplaneClass(1 + k, eps)
     inner = seed.child("draws")
     collinear_oracle = cls.sup_oracle(collinear_points, mode="collinear")
     adversarial_oracle = cls.sup_oracle(adversarial_points, mode="patterns")
@@ -563,8 +563,7 @@ def representation_comparison(n: int, k: int, seed: SeedSpec,
     adversarial = gaussian_average(cls, adversarial_points, draws=draws,
                                    seed=inner, workers=workers,
                                    oracle=adversarial_oracle)
-    return ReprComparisonReport(n=n, k=k, epsilon=eps, collinear=collinear,
-                                adversarial=adversarial)
+    return ReprComparisonReport(n, k, eps, collinear, adversarial)
 
 
 @dataclass(frozen=True, eq=False)

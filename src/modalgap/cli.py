@@ -4,7 +4,8 @@ into reproducible named runs.
 Every run writes its resolved configuration next to the outputs, a JSON
 summary, and (where the experiment is trial-based) a CSV of per-trial rows.
 Outputs carry no timestamps, so identical configs re-produce identical
-bytes; exit code 2 means the run finished but a declared threshold failed.
+bytes.  Exit code 1 means an error, usage errors included; exit code 2
+means only that the run finished but a declared threshold failed.
 """
 
 from __future__ import annotations
@@ -341,8 +342,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="out")
-        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--json", action="store_true", help="echo summary to stdout")
+
+    def workers(p):
+        p.add_argument("--workers", type=int, default=1,
+                       help="threads for the Monte Carlo draws; any count "
+                            "gives the same result")
 
     p = sub.add_parser("shatter", help="exact sign-shattering certificate")
     common(p)
@@ -356,6 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gaussavg", help="Monte Carlo complexity average")
     common(p)
+    workers(p)
     p.add_argument("--cls", required=True)
     p.add_argument("--points")
     p.add_argument("--y-points", dest="y_points")
@@ -413,6 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gap", help="heterogeneity gap estimate")
     common(p)
+    workers(p)
     p.add_argument("--instance")
     p.add_argument("--cls", default="composed-sine")
     p.add_argument("--n", type=int, default=8)
@@ -438,6 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("repr-compare", help="collinear vs adversarial complexity")
     common(p)
+    workers(p)
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--k", type=int, default=16)
     p.add_argument("--draws", type=int, default=4096)
@@ -460,6 +468,10 @@ def main(argv=None) -> int:
         argv = _apply_config_defaults(parser, argv)
         args = parser.parse_args(argv)
         code = args.func(args)
+    except SystemExit as stop:
+        # argparse has printed the help text (0) or a usage error, which must
+        # not read as a failed threshold
+        return EXIT_OK if stop.code == 0 else EXIT_ERROR
     except (ModalgapError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR

@@ -116,24 +116,19 @@ class RealizabilityReport:
     value: float
     witness: object
     residuals: np.ndarray
-    exact: bool
-    surrogate: Optional[str] = None
+
+    # every connection class solves its residual fit exactly
+    exact = True
 
     def to_json(self) -> dict:
-        data = {"value": self.value, "exact": self.exact,
+        return {"value": self.value, "exact": self.exact,
                 "witness": self.witness.to_json()}
-        if self.surrogate:
-            data["surrogate"] = self.surrogate
-        return data
 
 
 def approximate_realizability(cls, xs, ys) -> RealizabilityReport:
-    """min over the class of the mean residual |g(x_i) - y_i|.
-
-    Exact for scaling / boolean / table classes; the polynomial class is fit
-    in least squares and its mean Euclidean residual is flagged as a
-    surrogate upper bound.
-    """
+    """min over the class of the mean residual |g(x_i) - y_i|, solved
+    exactly by the class's own fit_connection (scaling: the weighted-median
+    LAD; boolean maps: the four tables)."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.size == 0:
@@ -142,12 +137,10 @@ def approximate_realizability(cls, xs, ys) -> RealizabilityReport:
     fit = getattr(cls, "fit_connection", None)
     if fit is None:
         raise UnsupportedClassError(f"{cls!r} has no ERM sub-oracle")
-    result = fit(xs, ys)
-    member, residuals = result[0], np.asarray(result[1], dtype=float)
-    surrogate = "least-squares" if len(result) == 3 else None
+    member, residuals = fit(xs, ys)
+    residuals = np.asarray(residuals, dtype=float)
     return RealizabilityReport(value=float(np.mean(residuals)), witness=member,
-                               residuals=residuals, exact=surrogate is None,
-                               surrogate=surrogate)
+                               residuals=residuals)
 
 
 def sample_bytes_hash(sample) -> str:

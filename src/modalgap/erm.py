@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -91,7 +90,7 @@ def _stage1(unlabeled: MultiSample, connection_cls):
         residual = float(sum(abs(tau * x - y) for x, y in pairs)) / (2.0 * math.pi)
         return member, residual / len(pairs), {"stage1": "exact-lad"}
     xs, ys = unlabeled.pooled_xy()
-    member, residuals = connection_cls.fit_connection(xs[:, 0], ys)[:2]
+    member, residuals = connection_cls.fit_connection(xs[:, 0], ys)
     return member, float(np.mean(residuals)), {"stage1": "float"}
 
 
@@ -152,25 +151,22 @@ def fit_unimodal(xz_pairs, cls, loss: Loss = CLIPPED_ABS,
 
 
 def fit_joint(labeled, connection_cls, predictor_cls,
-              loss: Loss = CLIPPED_ABS, budget: int = 10**6,
-              zero_tol: Optional[float] = None) -> JointSolution:
+              loss: Loss = CLIPPED_ABS, budget: int = 10**6) -> JointSolution:
     """Representation-style joint ERM from x-only labeled data: a labeled
     MultiSample, or one labeled Block.
 
     The connection class supplies its candidates: all members of a finite
     class, or a grid sized to the budget for a 1-D class.  Predictors are
     fit exactly inside each candidate.  The number of objective evaluations
-    is capped by the budget and reported.  zero_tol governs the zero-loss
-    tie census and defaults to the class's own tolerance.
+    is capped by the budget and reported.  The zero-loss tie census uses
+    the class's own tolerance.
     """
     if budget < 1:
         raise DomainError("the budget must buy at least one evaluation")
     blocks = labeled.tasks if isinstance(labeled, MultiSample) else (labeled,)
 
-    candidates, class_tol, exhausted = connection_cls.joint_candidates(
+    candidates, tolerance, exhausted = connection_cls.joint_candidates(
         sum(len(b) for b in blocks), budget)
-    if zero_tol is None:
-        zero_tol = class_tol
 
     best = None
     ties = 0
@@ -190,7 +186,7 @@ def fit_joint(labeled, connection_cls, predictor_cls,
             count += len(block)
         evals += count
         objective = total / count
-        if objective <= zero_tol:
+        if objective <= tolerance:
             ties += 1
         if best is None or objective < best[1]:
             best = ((g, tuple(members)), objective)

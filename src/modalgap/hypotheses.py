@@ -74,35 +74,16 @@ class BooleanConnection:
 
 
 @dataclass(frozen=True, eq=False)
-class PolynomialConnection:
-    """g(x) = project(sum_i x^i v_i) with projection onto a centered ball."""
-
-    coeffs: np.ndarray           # (degree+1, k)
-    radius: float = 2.0
-
-    def map(self, x: float) -> np.ndarray:
-        powers = np.power(float(x), np.arange(self.coeffs.shape[0]))
-        raw = powers @ self.coeffs
-        norm = np.linalg.norm(raw)
-        if norm > self.radius:
-            raw = raw * (self.radius / norm)
-        return raw
-
-    def to_json(self):
-        return {"member": "polynomial", "coeffs": self.coeffs.tolist(),
-                "radius": self.radius}
-
-
-@dataclass(frozen=True, eq=False)
 class TableConnection:
-    """Finite lookup on a fixed support, values clipped to [-1, 1]."""
+    """Finite lookup on a fixed support, values clipped to [-1, 1]; 0 off
+    the support, as for TabulatedPredictor."""
 
     mapping: tuple    # ((x, value), ...)
 
     def map(self, x):
         table = dict(self.mapping)
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.array([table[float(v)] for v in x])
+        return np.array([table.get(float(v), 0.0) for v in x])
 
     def to_json(self):
         return {"member": "table", "mapping": [list(p) for p in self.mapping]}
@@ -321,19 +302,19 @@ class _SignCompleteOracle(SupOracle):
 class _PatternOracle(SupOracle):
     """Supremum over an explicit matrix of member value vectors (C, n)."""
 
-    def __init__(self, value_matrix: np.ndarray, members=None, exact=False,
-                 block: int = 128):
+    BLOCK = 128
+
+    def __init__(self, value_matrix: np.ndarray, members=None, exact=False):
         self.values = np.asarray(value_matrix, dtype=float)
         self.members = members
         self.size = self.values.shape[1]
         self.exact = exact
-        self.block = block
 
     def batch(self, sigma):
         out = np.empty(sigma.shape[0])
         # block the rows so candidate matmuls stay within a bounded footprint
-        for lo in range(0, sigma.shape[0], self.block):
-            hi = min(lo + self.block, sigma.shape[0])
+        for lo in range(0, sigma.shape[0], self.BLOCK):
+            hi = min(lo + self.BLOCK, sigma.shape[0])
             out[lo:hi] = (sigma[lo:hi] @ self.values.T).max(axis=1)
         return out
 
@@ -630,92 +611,6 @@ class BooleanMapClass:
         return {"class": "boolean-map"}
 
 
-@dataclass(frozen=True)
-class PolynomialClass:
-    """Degree-d polynomial connections into R^k, outputs projected onto a
-    centered ball at evaluation time."""
-
-    degree: int
-    out_dim: int
-    radius: float = 2.0
-
-    def fit_connection(self, xs, ys):
-        xs = np.asarray(xs, dtype=float).reshape(-1)
-        ys = np.asarray(ys, dtype=float)
-        if ys.ndim == 1:
-            ys = ys.reshape(-1, 1)
-        vander = np.vander(xs, N=self.degree + 1, increasing=True)
-        coeffs, _, rank, _ = np.linalg.lstsq(vander, ys, rcond=None)
-        member = PolynomialConnection(coeffs=coeffs, radius=self.radius)
-        fitted = np.array([member.map(x) for x in xs])
-        residuals = np.linalg.norm(fitted - ys, axis=1)
-        unique = rank == self.degree + 1
-        return member, residuals, unique
-
-    def sup_oracle(self, sample):
-        raise UnsupportedClassError("no sup oracle for polynomial connections")
-
-    def closed_form_gaussian(self, sample):
-        return None
-
-    def to_json(self):
-        return {"class": "polynomial", "degree": self.degree,
-                "out_dim": self.out_dim, "radius": self.radius}
-
-
-@dataclass(frozen=True)
-class TableLookupClass:
-    """Lookup tables on a finite scalar support with values in [-1, 1]."""
-
-    support: tuple
-
-    def fit_connection(self, xs, ys):
-        xs, ys = _scalar_pairs(xs, ys)
-        mapping = []
-        residuals = np.empty(len(xs))
-        for point in self.support:
-            mask = xs == float(point)
-            if np.any(mask):
-                value = float(np.clip(np.median(ys[mask]), -1.0, 1.0))
-            else:
-                value = 0.0
-            mapping.append((float(point), value))
-            residuals[mask] = np.abs(ys[mask] - value)
-        return TableConnection(tuple(mapping)), residuals
-
-    def sup_oracle(self, sample):
-        x = np.asarray(sample, dtype=float).reshape(-1)
-        groups = [np.flatnonzero(x == float(p)) for p in self.support]
-
-        class _Oracle(SupOracle):
-            size = len(x)
-            exact = True
-
-            def batch(_, sigma):
-                total = np.zeros(sigma.shape[0])
-                for g in groups:
-                    if len(g):
-                        total += np.abs(sigma[:, g].sum(axis=1))
-                return total
-
-            def witness(_, sigma):
-                mapping = []
-                value = 0.0
-                for point, g in zip(self.support, groups):
-                    s = float(sigma[g].sum()) if len(g) else 0.0
-                    mapping.append((float(point), 1.0 if s >= 0 else -1.0))
-                    value += abs(s)
-                return Witness(value=value, member=TableConnection(tuple(mapping)))
-
-        return _Oracle()
-
-    def closed_form_gaussian(self, sample):
-        return None
-
-    def to_json(self):
-        return {"class": "table-lookup", "support": list(self.support)}
-
-
 # ---------------------------------------------------------------------------
 # predictor classes
 
@@ -910,10 +805,11 @@ class SignCompleteClass:
 class SmoothedHyperplaneClass:
     """f(p) = (p.v - c)/max(|p.v - c|, eps) with ||v|| <= 1; (1/eps)-Lipschitz.
 
-    The sup oracle enumerates an explicit feasible member set: thresholds
-    along the line for collinear samples, or all 2^n patterns when the
-    sample admits every pattern at margin >= eps (then the enumeration is
-    exact, since sum |sigma_i| is the outright maximum over [-1,1]^n).
+    The sup oracle enumerates an explicit feasible member set: the rising
+    thresholds along the line for collinear samples (a certified lower
+    bound), or all 2^n patterns when the sample admits every pattern at
+    margin >= eps (then the enumeration is exact, since sum |sigma_i| is the
+    outright maximum over [-1,1]^n).
     """
 
     dim: int
@@ -933,7 +829,7 @@ class SmoothedHyperplaneClass:
             raise DomainError("normal vector has wrong dimension")
         if np.linalg.norm(v) > 1 + 1e-12:
             raise DomainError("normal vector must lie in the unit ball")
-        return HyperplanePredictor(v=v, c=float(c), epsilon=self.epsilon)
+        return HyperplanePredictor(v, float(c), self.epsilon)
 
     def _collinear_direction(self, points):
         centered = points - points.mean(axis=0)
@@ -950,14 +846,10 @@ class SmoothedHyperplaneClass:
             return None
         return u
 
-    def threshold_members(self, points, polarity: str = "rising") -> list:
-        """Feasible threshold members along a collinear sample.
-
-        "rising" is the canonical threshold family sign(t - c) (+1 past the
-        cut); "both" adds every negated member as well.  Either set is a
-        valid witness collection; "both" realizes every hyperplane dichotomy
-        of the line and so never estimates lower.
-        """
+    def threshold_members(self, points) -> list:
+        """The rising threshold members sign(t - c) (+1 past the cut) along a
+        collinear sample, one per cut between consecutive points and one
+        beyond each end: a feasible witness collection."""
         points = np.asarray(points, dtype=float)
         u = self._collinear_direction(points)
         if u is None:
@@ -967,12 +859,7 @@ class SmoothedHyperplaneClass:
         cuts = np.concatenate([[spots[0] - 1.0],
                                (spots[:-1] + spots[1:]) / 2.0,
                                [spots[-1] + 1.0]])
-        signs = (1.0,) if polarity == "rising" else (1.0, -1.0)
-        members = []
-        for c in cuts:
-            for sign in signs:
-                members.append(self.member(sign * u, sign * c))
-        return members
+        return [self.member(u, c) for c in cuts]
 
     def pattern_members(self, points) -> Optional[list]:
         """One member per sign pattern when every pattern has margin >= eps.
@@ -997,12 +884,12 @@ class SmoothedHyperplaneClass:
             members.append(self.member(v, 0.0))
         return members
 
-    def sup_oracle(self, sample, mode: str = "auto", polarity: str = "rising"):
+    def sup_oracle(self, sample, mode: str = "auto"):
         points = np.asarray(sample, dtype=float)
         if mode in ("auto", "collinear"):
             u = self._collinear_direction(points)
             if u is not None:
-                members = self.threshold_members(points, polarity=polarity)
+                members = self.threshold_members(points)
                 values = np.array([[m.value(p) for p in points] for m in members])
                 return _PatternOracle(values, members=members, exact=False)
             if mode == "collinear":
@@ -1039,6 +926,10 @@ class ComposedSineClass:
         return SineComposition(theta)
 
     def fit_x(self, xs, zs, loss: Loss, grid_points: int, refine: bool):
+        """Grid ERM; every member is undefined at x = 0, so such a row has
+        no loss to minimize."""
+        if np.any(xs == 0.0):
+            raise SingularityError("composed sine undefined at theta*x = 0")
         return _grid_fit(SineComposition, lambda p: np.sin(1.0 / p), xs, zs,
                          loss, grid_points, refine)
 

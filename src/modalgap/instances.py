@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -305,31 +305,19 @@ def make_boolean(tables) -> BooleanInstance:
     return BooleanInstance(tables=tuple(tables))
 
 
-@dataclass(frozen=True, eq=False)
-class HyperplaneLabel:
-    """z = sign(wx*x + wy.y - offset), ties resolved to +1."""
-
-    wx: float = 1.0
-    wy: tuple = ()
-    offset: float = 0.0
-
-    def __call__(self, x: float, y: np.ndarray) -> float:
-        s = self.wx * x + float(np.dot(np.asarray(self.wy or [0.0] * len(y)), y))
-        return 1.0 if s - self.offset >= 0 else -1.0
-
-    def to_json(self) -> dict:
-        return {"rule": "hyperplane", "wx": self.wx,
-                "wy": list(self.wy), "offset": self.offset}
+def _sign_x_rule() -> dict:
+    """The subspace label z = sign(x), ties at x = 0 sent to +1, in the form
+    instance files carry it."""
+    return {"rule": "hyperplane", "wx": 1.0, "wy": [], "offset": 0.0}
 
 
 @dataclass(frozen=True, eq=False)
 class SubspaceInstance:
     """x uniform on [-1, 1], y = x*v + y0 exactly (so y lives on a line in
-    the radius-2 ball); the label is any measurable map of (x, y)."""
+    the radius-2 ball); the label is z = sign(x), ties sent to +1."""
 
     v: np.ndarray
     y0: np.ndarray
-    label_rule: Callable = None
 
     task_count = None
     q = 1
@@ -343,8 +331,6 @@ class SubspaceInstance:
             raise DomainError("v and y0 must lie in the unit ball")
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "y0", y0)
-        if self.label_rule is None:
-            object.__setattr__(self, "label_rule", HyperplaneLabel())
 
     @property
     def k(self) -> int:
@@ -353,33 +339,28 @@ class SubspaceInstance:
     def draw_labeled_task(self, rng, t, count):
         xs = rng.uniform(-1.0, 1.0, size=count)
         ys = np.outer(xs, self.v) + self.y0
-        # the label rule is any map of one point (x, y)
-        zs = [self.label_rule(x, y) for x, y in zip(xs, ys)]
-        return Block(x=xs, y=ys, z=zs)
+        return Block(x=xs, y=ys, z=np.where(xs >= 0, 1.0, -1.0))
 
     def support_enumeration(self, t):
         return None
 
     def to_json(self) -> dict:
-        rule = self.label_rule
-        rule_json = rule.to_json() if hasattr(rule, "to_json") else "custom"
         return {"family": "subspace", "v": list(self.v),
-                "y0": list(self.y0), "label_rule": rule_json}
+                "y0": list(self.y0), "label_rule": _sign_x_rule()}
 
     @staticmethod
     def from_json(data: dict) -> "SubspaceInstance":
-        rule = data.get("label_rule")
-        label = None
-        if isinstance(rule, dict) and rule.get("rule") == "hyperplane":
-            label = HyperplaneLabel(wx=rule["wx"], wy=tuple(rule["wy"]),
-                                    offset=rule["offset"])
-        return make_subspace(data["v"], data["y0"], label_rule=label)
+        """A file may leave the label rule out; any rule other than sign(x)
+        is refused rather than relabelled."""
+        if data.get("label_rule", _sign_x_rule()) != _sign_x_rule():
+            raise DomainError(f"unsupported subspace label rule {data['label_rule']!r}; "
+                              "the family labels z = sign(x)")
+        return make_subspace(data["v"], data["y0"])
 
 
-def make_subspace(v, y0, label_rule=None) -> SubspaceInstance:
+def make_subspace(v, y0) -> SubspaceInstance:
     return SubspaceInstance(v=np.asarray(v, dtype=float),
-                            y0=np.asarray(y0, dtype=float),
-                            label_rule=label_rule)
+                            y0=np.asarray(y0, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -468,24 +449,21 @@ def make_separable(breakpoints) -> SeparableInstance:
     return SeparableInstance(breakpoints=tuple(breakpoints))
 
 
-def make_separable_from_fixed_points(points, wobble=Fraction(1, 4)) -> SeparableInstance:
+def make_separable_from_fixed_points(points) -> SeparableInstance:
     """Piecewise-linear f whose fixed-point set is exactly the given points.
 
     Between consecutive fixed points the graph detours above/below the
-    diagonal alternately, by wobble * gap (< gap/2 keeps f strictly
-    increasing).
+    diagonal alternately, by a quarter of the gap (under half the gap keeps
+    f strictly increasing).
     """
     pts = sorted(Fraction(p) for p in points)
     if pts[0] != 0 or pts[-1] != 1 or len(set(pts)) != len(pts):
         raise DomainError("fixed points must be distinct and include 0 and 1")
-    wobble = Fraction(wobble)
-    if not (0 < wobble < Fraction(1, 2)):
-        raise DomainError("wobble must lie in (0, 1/2)")
     breakpoints = [(Fraction(0), Fraction(0))]
     side = 1
     for a, b in zip(pts, pts[1:]):
         mid = (a + b) / 2
-        breakpoints.append((mid, mid + side * wobble * (b - a)))
+        breakpoints.append((mid, mid + side * (b - a) / 4))
         breakpoints.append((b, b))
         side = -side
     return SeparableInstance(breakpoints=tuple(breakpoints))

@@ -21,7 +21,7 @@ from modalgap.analysis import (boolean_count_formula,
 from modalgap.erm import fit_multimodal, fit_unimodal
 from modalgap.hypotheses import (BooleanLookupClass, BooleanMapClass,
                                  ComposedSineClass, ScalingClass,
-                                 SineSingletonClass,
+                                 SignCompleteClass, SineSingletonClass,
                                  XOnlyPredictorClass)
 from modalgap.instances import (make_boolean, make_separable_from_fixed_points,
                                 make_sine, make_sine_shattered, make_sine_subset)
@@ -75,6 +75,23 @@ def test_unimodal_population_failure_on_shattered_support():
     tilde = fit_unimodal(xz, ComposedSineClass(), CLIPPED_ABS, grid_points=50_000)
     report = excess_risk(tilde, inst, SineSingletonClass())
     assert report.excess >= 0.2
+
+
+def test_sign_complete_fit_risk_predicts_zero_off_the_sample():
+    # 4 draws cannot cover the 8 support points
+    inst = make_sine(0.7, support=8)
+    block = draw_labeled(inst, 1, 4, SEED).tasks[0]
+    sol = fit_unimodal(np.column_stack((block.x[:, 0], block.z)),
+                       SignCompleteClass(), CLIPPED_ABS)
+    support = inst.support_enumeration(0)
+    table = dict(sol.member.mapping)
+    assert len(table) < len(support)
+    preds = [table.get(x, 0.0) for x in support.x[:, 0].tolist()]
+    expected = sum(Fraction(min(abs(p - z), 1.0))
+                   for p, z in zip(preds, support.z.tolist())) / len(support)
+    report = excess_risk(sol, inst, SineSingletonClass())
+    assert math.isfinite(report.risk)
+    assert report.exact_risk == expected
 
 
 def test_monte_carlo_mode_close_to_exact():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from modalgap.cli import main
+from modalgap.cli import build_parser, main
 from modalgap.core import CLIPPED_ABS, SeedSpec, draw_labeled
 from modalgap.erm import fit_unimodal
 from modalgap.hypotheses import SignCompleteClass
@@ -128,6 +128,9 @@ SUBSPACE_3 = instance_to_json(make_subspace([0.6, 0.0, 0.8], [0.1, 0.0, 0.2]))
 SEPARABLE = instance_to_json(make_separable_from_fixed_points([0, 0.5, 1]))
 THREE_PARAM = instance_to_json(make_three_param())
 BOOLEAN_1 = instance_to_json(make_boolean([(0, 1)]))
+SUBSPACE_OTHER_RULE = {"family": "subspace", "v": [0.6], "y0": [0.1],
+                       "label_rule": {"rule": "hyperplane", "wx": 1.0,
+                                      "wy": [0.5], "offset": 0.0}}
 
 
 @pytest.mark.parametrize("instance, argv", [
@@ -152,6 +155,8 @@ BOOLEAN_1 = instance_to_json(make_boolean([(0, 1)]))
     (SEPARABLE, ["bound"]),
     (THREE_PARAM, ["bound"]),
     (BOOLEAN_1, ["gap", "--resamples", "2", "--draws", "100"]),
+    (BOOLEAN_1, ["fit-unimodal", "--n", "6", "--grid", "3000"]),
+    (SUBSPACE_OTHER_RULE, ["fit-unimodal", "--cls", "scaling"]),
 ], ids=["unknown-family", "no-family", "not-an-object", "fit-unimodal-singleton",
         "gap-singleton",
         "gaussavg-no-indices", "gaussavg-no-points", "necessity-no-trials",
@@ -159,7 +164,8 @@ BOOLEAN_1 = instance_to_json(make_boolean([(0, 1)]))
         "separation-no-grid", "repr-compare-no-points", "gap-no-resamples",
         "realizability-subspace", "realizability-boolean-subspace",
         "fit-multimodal-subspace", "bound-subspace", "bound-separable",
-        "bound-three-param", "gap-boolean"])
+        "bound-three-param", "gap-boolean", "fit-unimodal-composed-sine-at-zero",
+        "subspace-other-label-rule"])
 def test_lab_errors_exit_one(tmp_path, capsys, instance, argv):
     if instance is not None:
         path = tmp_path / "instance.json"
@@ -220,5 +226,27 @@ def test_gap_sign_complete_defaults(tmp_path):
 
 
 def test_unknown_subcommand_exits_nonzero():
-    with pytest.raises(SystemExit):
-        main(["frobnicate"])
+    assert main(["frobnicate"]) == 1
+
+
+@pytest.mark.parametrize("argv", [["separation", "--workers", "1"],
+                                  ["separation", "--n", "two"]],
+                         ids=["flag-the-command-lacks", "non-integer"])
+def test_usage_errors_exit_one(tmp_path, capsys, argv):
+    # exit 2 is kept for a failed threshold
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+    assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert "usage" in capsys.readouterr().out
+
+
+def test_workers_flag_only_on_monte_carlo_commands():
+    commands = next(action.choices for action in build_parser()._actions
+                    if action.dest == "command")
+    takes = {name for name, sub in commands.items()
+             if "--workers" in sub._option_string_actions}
+    assert takes == {"gaussavg", "gap", "repr-compare"}

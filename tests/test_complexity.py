@@ -12,9 +12,8 @@ from modalgap.complexity import (approximate_realizability, gaussian_average,
                                  rademacher_average,
                                  rademacher_average_closed_form)
 from modalgap.hypotheses import (BooleanMapClass, ComposedSineClass,
-                                 PolynomialClass, ScalingClass,
-                                 SignCompleteClass, SineSingletonClass,
-                                 TableLookupClass)
+                                 ScalingClass, SignCompleteClass,
+                                 SineSingletonClass)
 
 SEED = SeedSpec(314)
 
@@ -81,7 +80,7 @@ def test_rademacher_examples():
 
 def test_unsupported_closed_form_returns_none():
     assert gaussian_average_closed_form(BooleanMapClass(), np.array([0.0, 1.0])) is None
-    assert gaussian_average_closed_form(PolynomialClass(2, 1), np.array([1.0])) is None
+    assert gaussian_average_closed_form(ComposedSineClass(), [1, 2]) is None
     assert rademacher_average_closed_form(ScalingClass(), np.ones(3)) is None
 
 
@@ -142,20 +141,6 @@ def test_realizability_examples():
                                        np.array([0.0, 0.0]),
                                        np.array([0.0, 1.0]))
     assert report.value == 0.5 and report.exact
-
-    cls = TableLookupClass(support=(0.1, 0.9))
-    report = approximate_realizability(cls, np.array([0.1, 0.9]),
-                                       np.array([0.1, 0.9]))
-    assert report.value == 0.0
-
-
-def test_realizability_polynomial_flagged_surrogate():
-    xs = np.array([0.1, 0.4, 0.9])
-    ys = np.column_stack([xs * 0.5, xs * 0.0 + 0.2])
-    report = approximate_realizability(PolynomialClass(1, 2), xs, ys)
-    assert report.surrogate == "least-squares"
-    assert not report.exact
-    assert report.value <= 1e-10
 
 
 def test_realizability_empty_sample():

@@ -12,11 +12,9 @@ from modalgap.core import (ABSOLUTE, CLIPPED_ABS, Block, DomainError,
 from modalgap.erm import (fit_joint, fit_multimodal, fit_unimodal,
                           predict_unimodal)
 from modalgap.hypotheses import (BooleanLookupClass, BooleanMapClass,
-                                 ComposedSineClass, PolynomialClass,
-                                 ScalingClass, SignCompleteClass,
+                                 ComposedSineClass, ScalingClass,
                                  SineSingletonClass)
-from modalgap.instances import (make_boolean, make_sine, make_sine_shattered,
-                                make_subspace)
+from modalgap.instances import make_boolean, make_sine, make_sine_shattered
 
 SEED = SeedSpec(99)
 
@@ -41,23 +39,6 @@ def test_multimodal_witness_instance_exact_recovery():
     assert sol.stage1_objective == 0.0
     assert sol.stage2_objective == 0.0
     assert sol.provenance["stage1"] == "exact-lad"
-
-
-def test_multimodal_subspace_polynomial_recovery():
-    rng = np.random.default_rng(2)
-    k = 4
-    v = rng.uniform(-0.3, 0.3, size=k)
-    y0 = rng.uniform(-0.3, 0.3, size=k)
-    inst = make_subspace(v, y0)
-    labeled = draw_labeled(inst, 1, 6, SEED)
-    unlabeled = draw_unlabeled(inst, 1, 3 * k, SEED)
-    sol = fit_multimodal(labeled, unlabeled, PolynomialClass(degree=k, out_dim=k),
-                         SignCompleteClass())
-    assert np.allclose(sol.connection.coeffs[0], y0, atol=1e-10)
-    assert np.allclose(sol.connection.coeffs[1], v, atol=1e-10)
-    assert sol.stage1_objective <= 1e-10
-    # composition with a vector-valued connection stays well-typed
-    assert isinstance(predict_unimodal(sol, 0, 0.3), float)
 
 
 def test_multimodal_boolean_stage1_residual_near_half():

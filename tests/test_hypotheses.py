@@ -8,13 +8,11 @@ import pytest
 
 from modalgap.core import (DegenerateDataError, DomainError,
                            SingularityError, UnsupportedClassError)
-from modalgap.hypotheses import (BooleanMapClass,
-                                 ComposedSineClass, PolynomialClass,
+from modalgap.hypotheses import (BooleanMapClass, ComposedSineClass,
                                  ScalingClass, ScalingConnection,
                                  SignCompleteClass, SinePredictor,
                                  SineSingletonClass,
-                                 SmoothedHyperplaneClass,
-                                 TableLookupClass, fit_scaling_lad,
+                                 SmoothedHyperplaneClass, fit_scaling_lad,
                                  fit_scaling_lad_exact, measured_lipschitz)
 
 
@@ -94,34 +92,6 @@ def test_boolean_fit_examples_and_exhaustive_audit():
         assert best == exhaustive
 
 
-def test_polynomial_recovers_affine_connection():
-    rng = np.random.default_rng(4)
-    k = 5
-    v = rng.uniform(-0.3, 0.3, size=k)
-    y0 = rng.uniform(-0.3, 0.3, size=k)
-    xs = rng.uniform(-1, 1, size=2 * k + 3)
-    member, _, unique = PolynomialClass(degree=k, out_dim=k).fit_connection(
-        xs, np.outer(xs, v) + y0)
-    assert unique
-    assert np.allclose(member.coeffs[0], y0, atol=1e-10)
-    assert np.allclose(member.coeffs[1], v, atol=1e-10)
-    assert np.allclose(member.coeffs[2:], 0.0, atol=1e-10)
-
-
-def test_polynomial_rank_deficiency_flagged():
-    member, _, unique = PolynomialClass(degree=2, out_dim=1).fit_connection(
-        [0.5, 0.5], [[0.1], [0.3]])
-    assert not unique
-    # minimum-norm least squares still returns a usable member
-    assert member.map(0.5).shape == (1,)
-
-
-def test_polynomial_projection_bounds_output():
-    member, _, _ = PolynomialClass(degree=1, out_dim=2).fit_connection(
-        [1.0, 0.5], [[5.0, 0.0], [2.5, 0.0]])
-    assert np.linalg.norm(member.map(1.0)) <= 2.0 + 1e-12
-
-
 def test_sup_witness_scaling():
     oracle = ScalingClass().sup_oracle(np.array([1.0]))
     w = oracle.witness(np.array([2.0]))
@@ -150,17 +120,6 @@ def test_sup_witness_feasibility_vs_enumeration():
         values = [float(sigma @ m.map(xs)) for m in cls.members()]
         assert w.value == pytest.approx(max(values), abs=1e-12)
         assert w.member.table in [(0, 0), (0, 1), (1, 0), (1, 1)]
-
-
-def test_table_lookup_fit_and_oracle():
-    cls = TableLookupClass(support=(0.25, 0.5))
-    member, residuals = cls.fit_connection(
-        np.array([0.25, 0.25, 0.5]), np.array([0.1, 0.3, 0.9]))
-    assert dict(member.mapping)[0.5] == 0.9
-    assert residuals.sum() == pytest.approx(0.2)
-    oracle = cls.sup_oracle(np.array([0.25, 0.25, 0.5]))
-    sigma = np.array([1.0, -2.0, 0.5])
-    assert oracle.witness(sigma).value == pytest.approx(1.0 + 0.5)
 
 
 def test_smoothed_hyperplane_lipschitz_measurement():
@@ -192,18 +151,6 @@ def test_sine_predictor_support_restricted_lipschitz():
         SineSingletonClass.lipschitz_on(0.0)
 
 
-def test_threshold_witness_sets_are_monotone():
-    # enlarging the candidate set never lowers the supremum estimate
-    rng = np.random.default_rng(10)
-    cls = SmoothedHyperplaneClass(dim=3, epsilon=0.02)
-    xs = np.sort(rng.uniform(-1, 1, size=6))
-    points = np.column_stack([xs, 0.5 * xs + 0.1, -0.2 * xs])
-    rising = cls.sup_oracle(points, mode="collinear", polarity="rising")
-    both = cls.sup_oracle(points, mode="collinear", polarity="both")
-    sigma = rng.standard_normal((200, 6))
-    assert np.all(both.batch(sigma) >= rising.batch(sigma) - 1e-12)
-
-
 def test_pattern_members_margin_certificate():
     cls = SmoothedHyperplaneClass(dim=4, epsilon=0.1)
     points = np.column_stack([np.array([0.3, -0.7, 0.2]), np.eye(3)])
@@ -215,7 +162,9 @@ def test_pattern_members_margin_certificate():
 
 def test_unsupported_oracles_raise():
     with pytest.raises(UnsupportedClassError):
-        PolynomialClass(2, 2).sup_oracle(np.array([1.0]))
+        # not collinear, and the all-plus pattern has no margin at the origin
+        SmoothedHyperplaneClass(dim=2, epsilon=0.1).sup_oracle(
+            np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(UnsupportedClassError):
         ComposedSineClass().sup_oracle(None)
     with pytest.raises(DomainError):

@@ -6,10 +6,12 @@ replaces, also on samples with repeated points, and the population risk
 (the sample ERM on the uniform support) against a direct minimization
 written out here.  Shattering certificates, built in integers, are checked
 against Fraction range reduction written out here.  Samples survive the CSV
-round trip with their hash and arrays, and blocks reject malformed columns.
+round trip with their hash and arrays, instances survive the JSON round
+trip with their draws, and blocks reject malformed columns.
 """
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -24,8 +26,10 @@ from modalgap.core import (ABSOLUTE, CLIPPED_ABS, Block, DomainError, Loss,
                            draw_unlabeled, loss_eval, sample_from_csv,
                            sample_hash, sample_to_csv)
 from modalgap.hypotheses import BooleanMapClass, ScalingClass, SignCompleteClass
-from modalgap.instances import (make_boolean, make_separable_from_fixed_points,
-                                make_sine, make_sine_shattered, make_subspace,
+from modalgap.instances import (THREE_PARAM_RULES, instance_from_json,
+                                instance_to_json, make_boolean,
+                                make_separable_from_fixed_points, make_sine,
+                                make_sine_shattered, make_subspace,
                                 make_three_param)
 from modalgap.shatter import (CONVENTIONS, TWO_PI, construct, frac_exact,
                               lattice_multiplier, lattice_sine)
@@ -252,6 +256,62 @@ def test_csv_round_trip_keeps_hash_and_arrays(family, T, n, seed, labeled):
         assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
         assert (a.z is None) == (b.z is None)
         assert a.z is None or np.array_equal(a.z, b.z)
+
+
+def _unit_ball(k):
+    return st.lists(st.floats(-1.0, 1.0), min_size=k, max_size=k).map(
+        lambda v: np.array(v) / max(1.0, float(np.linalg.norm(v))))
+
+
+_THETA = st.floats(0.01, 1.0)
+_SIGNS = st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=6)
+_TRUTH_TABLES = st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)),
+                         min_size=1, max_size=3)
+_INTERIOR = st.sets(st.fractions(0, 1, max_denominator=12), max_size=4).map(
+    lambda ps: sorted(p for p in ps if 0 < p < 1))
+
+INSTANCES = st.one_of(
+    _THETA.map(make_sine),
+    st.builds(lambda theta, m: make_sine(theta, support=m), _THETA,
+              st.integers(1, 12)),
+    _SIGNS.map(make_sine_shattered),
+    _TRUTH_TABLES.map(make_boolean),
+    _INTERIOR.map(lambda ps: make_separable_from_fixed_points([0, *ps, 1])),
+    st.sampled_from(THREE_PARAM_RULES).map(make_three_param),
+    st.integers(1, 4).flatmap(lambda k: st.builds(make_subspace, _unit_ball(k),
+                                                  _unit_ball(k))),
+)
+
+
+@PROPERTY
+@given(instance=INSTANCES, seed=st.integers(0, 2**32 - 1))
+def test_instance_json_round_trip_keeps_json_and_draws(instance, seed):
+    data = instance_to_json(instance)
+    back = instance_from_json(json.loads(json.dumps(data)))
+    assert instance_to_json(back) == data
+    T = getattr(instance, "task_count", None) or 2
+    for draw in (draw_labeled, draw_unlabeled):
+        assert (sample_hash(draw(back, T, 5, SeedSpec(seed)))
+                == sample_hash(draw(instance, T, 5, SeedSpec(seed))))
+
+
+_OTHER_RULES = st.one_of(
+    st.fixed_dictionaries({"rule": st.sampled_from(["hyperplane", "other"]),
+                           "wx": st.floats(-2.0, 2.0),
+                           "wy": st.lists(st.floats(-1.0, 1.0), max_size=2),
+                           "offset": st.floats(-1.0, 1.0)}),
+    st.sampled_from(["custom", None, {}]),
+)
+
+
+@PROPERTY
+@given(rule=_OTHER_RULES)
+def test_subspace_refuses_any_other_label_rule(rule):
+    data = instance_to_json(make_subspace([0.6], [0.1]))
+    if rule == data["label_rule"]:
+        return
+    with pytest.raises(DomainError, match="label rule"):
+        instance_from_json(dict(data, label_rule=rule))
 
 
 _COLUMN = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6)
