@@ -21,9 +21,8 @@ from .core import (CLIPPED_ABS, ABSOLUTE, DomainError, Loss, MultiSample,
                    loss_eval, mean_loss)
 from .complexity import ComplexityEstimate, gaussian_average
 from .erm import UnimodalSolution, fit_multimodal, fit_unimodal
-from .hypotheses import (ComposedSineClass, ScalingClass, SignCompleteClass,
-                         SinePredictor, SineSingletonClass,
-                         SmoothedHyperplaneClass)
+from .hypotheses import (ComposedSineClass, ScalingClass, SinePredictor,
+                         SineSingletonClass, SmoothedHyperplaneClass)
 from .instances import (BooleanInstance, SeparableInstance, SineInstance,
                         make_boolean, make_sine, make_sine_shattered)
 from .shatter import lattice_sine
@@ -81,18 +80,15 @@ def _solution_prediction(solution, t: int, instance, block, i) -> float:
         raise SingularityError(f"{err} at support point x={block.x[i, 0]!r}") from err
 
 
-def excess_risk(solution, instance, comparator_cls=None, loss: Loss = CLIPPED_ABS,
+def excess_risk(solution, instance, comparator_cls, loss: Loss = CLIPPED_ABS,
                 mode: str = "auto", mc_points: int = 100_000,
                 seed: SeedSpec = SeedSpec(90210)) -> RiskReport:
-    """Population excess risk of a fitted solution on unimodal inference.
+    """Population excess risk of a fitted solution on unimodal inference,
+    against the best member of comparator_cls.
 
     Exact enumeration when the instance has a finite support, otherwise
-    Monte Carlo with the given point budget.  The comparator defaults to
-    the sine singleton for sine instances and sign-complete otherwise.
+    Monte Carlo with the given point budget.
     """
-    if comparator_cls is None:
-        comparator_cls = (SineSingletonClass() if isinstance(instance, SineInstance)
-                          else SignCompleteClass())
     T = getattr(instance, "task_count", None) or 1
     enumerable = instance.support_enumeration(0) is not None
     if mode == "auto":

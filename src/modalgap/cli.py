@@ -315,7 +315,9 @@ def _apply_config_defaults(parser, argv):
     if not isinstance(config, dict):
         raise DomainError("--config must name a JSON object")
     cleaned = argv[:idx] + argv[idx + 2:]
-    command = cleaned[0] if cleaned else config.get("command")
+    if "command" in config and (not cleaned or cleaned[0].startswith("-")):
+        # a replay names no subcommand, or only flags such as a new --out
+        cleaned = [str(config["command"])] + cleaned
     extra = []
     for key, value in config.items():
         if key == "command":
@@ -327,8 +329,6 @@ def _apply_config_defaults(parser, argv):
                     extra.append(flag)
             else:
                 extra.extend([flag, str(value)])
-    if not cleaned and command:
-        cleaned = [command]
     return cleaned + extra
 
 

@@ -20,9 +20,6 @@ from .core import DomainError, SeedSpec, UnsupportedClassError
 
 CHUNK = 4096
 
-KINDS = ("gaussian", "rademacher")
-MODES = ("enumeration-exact", "witness-lower-bound")
-
 
 @dataclass(frozen=True)
 class ComplexityEstimate:
@@ -50,12 +47,10 @@ def _chunk_sigma(kind: str, rng, rows: int, size: int) -> np.ndarray:
 
 def _mc_average(oracle, draws: int, seed: SeedSpec, kind: str,
                 workers: int) -> ComplexityEstimate:
-    if kind not in KINDS:
-        raise DomainError(f"unknown draw kind {kind!r}")
     if draws < 100:
         raise DomainError("need at least 100 draws")
     mode = "enumeration-exact" if oracle.exact else "witness-lower-bound"
-    if getattr(oracle, "zero_mean", False):
+    if oracle.zero_mean:
         # linear-in-sigma supremum: the average is analytically zero
         return ComplexityEstimate(0.0, 0.0, draws, kind, mode)
 
@@ -87,11 +82,10 @@ def gaussian_average(cls, sample, draws: int = 10_000,
 
 
 def rademacher_average(cls, sample, draws: int = 10_000,
-                       seed: SeedSpec = SeedSpec(0), workers: int = 1,
-                       oracle=None) -> ComplexityEstimate:
+                       seed: SeedSpec = SeedSpec(0),
+                       workers: int = 1) -> ComplexityEstimate:
     """Same functional with uniform +-1 coefficients."""
-    oracle = oracle if oracle is not None else cls.sup_oracle(sample)
-    return _mc_average(oracle, draws, seed, "rademacher", workers)
+    return _mc_average(cls.sup_oracle(sample), draws, seed, "rademacher", workers)
 
 
 def gaussian_average_closed_form(cls, sample) -> Optional[float]:

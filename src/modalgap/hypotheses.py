@@ -11,8 +11,9 @@ branch on its type:
 - oracle_input(instance, block): what the sup oracle reads from a block:
   lattice indices, (x, y) or x.
 - sup_oracle(sample): the per-sample supremum solver used by the
-  complexity estimators.  Oracles always return a feasible member (or an
-  explicitly not-attained limit value), so estimates built from them are
+  complexity estimators.  Its batch(sigma) gives one value per row of
+  sigma, with no member: the exact supremum where the oracle is exact,
+  otherwise the value of a feasible member, so estimates built from it are
   valid lower bounds of the true supremum.
 - fit_connection(xs, ys) and joint_candidates(per_eval, budget): the
   connection fit and the candidates of the joint search.
@@ -187,20 +188,9 @@ class SineComposition:
 # sup oracles
 
 
-@dataclass(frozen=True)
-class Witness:
-    """A feasible member together with its inner-product value.  When the
-    supremum is only approached (open parameter domain), attained is False
-    and member may be None; the value is still the exact supremum."""
-
-    value: float
-    member: object = None
-    attained: bool = True
-
-
 class SupOracle:
-    """Per-(class, sample) supremum solver: batch for Monte Carlo loops and
-    witness for single draws.  exact means the per-draw supremum is solved
+    """Per-(class, sample) supremum solver: batch(sigma) maps each row of
+    sigma to its supremum.  exact means the per-draw supremum is solved
     exactly; otherwise values are certified lower bounds."""
 
     size: int
@@ -208,9 +198,6 @@ class SupOracle:
     zero_mean: bool = False
 
     def batch(self, sigma: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def witness(self, sigma: np.ndarray) -> Witness:
         raise NotImplementedError
 
 
@@ -225,33 +212,19 @@ class _ScalingOracle(SupOracle):
         s = sigma @ self.x
         return np.abs(s) if self.signed else np.maximum(s, 0.0)
 
-    def witness(self, sigma):
-        s = float(np.dot(sigma, self.x))
-        if self.signed:
-            # sup over theta in (-1,0) u (0,1) is |s|, approached at |theta| -> 1
-            return Witness(value=abs(s), member=None, attained=False)
-        if s > 0:
-            return Witness(value=s, member=ScalingConnection(1.0), attained=True)
-        # sup over (0, 1] is 0, approached as theta -> 0+
-        return Witness(value=0.0, member=None, attained=False)
-
 
 class _SingletonOracle(SupOracle):
     """sup over one member is linear in sigma, hence exactly zero-mean."""
 
-    def __init__(self, values: np.ndarray, member):
+    zero_mean = True
+
+    def __init__(self, values: np.ndarray):
         self.values = np.asarray(values, dtype=float).reshape(-1)
         self.size = len(self.values)
         self.exact = True
-        self.zero_mean = True
-        self.member = member
 
     def batch(self, sigma):
         return sigma @ self.values
-
-    def witness(self, sigma):
-        return Witness(value=float(np.dot(sigma, self.values)),
-                       member=self.member, attained=True)
 
 
 class _BooleanMapOracle(SupOracle):
@@ -266,16 +239,10 @@ class _BooleanMapOracle(SupOracle):
         s1 = sigma[:, self.mask1].sum(axis=1)
         return np.maximum(s0, 0.0) + np.maximum(s1, 0.0)
 
-    def witness(self, sigma):
-        s0 = float(sigma[~self.mask1].sum())
-        s1 = float(sigma[self.mask1].sum())
-        member = BooleanConnection((int(s0 > 0), int(s1 > 0)))
-        return Witness(value=max(s0, 0.0) + max(s1, 0.0), member=member)
-
 
 class _SignCompleteOracle(SupOracle):
     """sup over [-bound, bound]^n of sigma . f is bound * sum |sigma_i|,
-    attained at the vertex f = bound * sign(sigma).
+    reached at the vertex f = bound * sign(sigma).
 
     Copies of one point share a value, so with repeated points the sum runs
     over the groups of copies: bound * sum_g |sum_{i in g} sigma_i|.  The
@@ -295,18 +262,14 @@ class _SignCompleteOracle(SupOracle):
     def batch(self, sigma):
         return self.bound * np.abs(self._group_sums(sigma)).sum(axis=1)
 
-    def witness(self, sigma):
-        return Witness(value=self.bound * float(np.abs(self._group_sums(sigma)).sum()))
-
 
 class _PatternOracle(SupOracle):
     """Supremum over an explicit matrix of member value vectors (C, n)."""
 
     BLOCK = 128
 
-    def __init__(self, value_matrix: np.ndarray, members=None, exact=False):
+    def __init__(self, value_matrix: np.ndarray, exact: bool):
         self.values = np.asarray(value_matrix, dtype=float)
-        self.members = members
         self.size = self.values.shape[1]
         self.exact = exact
 
@@ -317,12 +280,6 @@ class _PatternOracle(SupOracle):
             hi = min(lo + self.BLOCK, sigma.shape[0])
             out[lo:hi] = (sigma[lo:hi] @ self.values.T).max(axis=1)
         return out
-
-    def witness(self, sigma):
-        scores = self.values @ sigma
-        best = int(np.argmax(scores))
-        member = self.members[best] if self.members is not None else None
-        return Witness(value=float(scores[best]), member=member)
 
 
 class _ShatterWitnessOracle(SupOracle):
@@ -342,30 +299,24 @@ class _ShatterWitnessOracle(SupOracle):
         self.exact = False
         self._cache = {}
 
-    def _sines_for(self, signs: tuple):
-        cached = self._cache.get(signs)
-        if cached is None:
+    def _sines_for(self, signs: tuple) -> np.ndarray:
+        sines = self._cache.get(signs)
+        if sines is None:
             cert = shatter.construct(signs, convention="sine-sign",
                                      indices=self.unique)
-            cached = (np.array(cert.sine_values()), cert)
+            sines = np.array(cert.sine_values())
             if len(self._cache) < 1 << 16:
-                self._cache[signs] = cached
-        return cached
+                self._cache[signs] = sines
+        return sines
 
-    def _one(self, sigma):
+    def _one(self, sigma) -> float:
         sums = np.zeros(len(self.unique))
         np.add.at(sums, self._slot, sigma)
         signs = tuple(int(s) for s in np.where(sums >= 0, 1, -1))
-        sines, cert = self._sines_for(signs)
-        return float(np.dot(sums, sines)), cert
+        return float(np.dot(sums, self._sines_for(signs)))
 
     def batch(self, sigma):
-        return np.array([self._one(row)[0] for row in sigma])
-
-    def witness(self, sigma):
-        value, cert = self._one(np.asarray(sigma, dtype=float))
-        member = SineComposition(theta=cert.theta)
-        return Witness(value=value, member=member)
+        return np.array([self._one(row) for row in sigma])
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +466,9 @@ def fit_scaling_lad_exact(pairs) -> Fraction:
 class ScalingClass:
     """{g(x) = theta x}; domain (0,1] by default, (-1,0) u (0,1) if signed.
 
-    The domain is half-open, so suprema approached at theta -> 0+ (or the
-    open endpoints of the signed domain) are reported with attained=False.
+    The sup oracle gives sup_theta theta * (sigma . x) in closed form:
+    max(s, 0) on (0, 1], approached as theta -> 0+ when s <= 0, and |s| on
+    the signed domain, approached at its open endpoints.
     """
 
     signed: bool = False
@@ -663,7 +615,7 @@ class SineSingletonClass:
     def sup_oracle(self, sample):
         xs, ys = sample
         values = np.array([SinePredictor().predict(x, y) for x, y in zip(xs, ys)])
-        return _SingletonOracle(values, SinePredictor())
+        return _SingletonOracle(values)
 
     def closed_form_gaussian(self, sample):
         return 0.0
@@ -707,7 +659,7 @@ class BooleanLookupClass:
         ys = np.asarray(ys, dtype=float).reshape(-1)
         mask1 = ys >= 0.5
         values = [np.where(mask1, float(t[1]), float(t[0])) for t in _ALL_TABLES]
-        return _PatternOracle(np.array(values), members=self.members(), exact=True)
+        return _PatternOracle(np.array(values), exact=True)
 
     def closed_form_gaussian(self, sample):
         return None
@@ -720,7 +672,7 @@ class BooleanLookupClass:
 class SignCompleteClass:
     """All maps of the distinct points of a finite sample into [-bound, bound].
 
-    The per-draw supremum over the hypercube is attained at the vertex
+    The per-draw supremum over the hypercube is reached at the vertex
     bound * sign(sigma), so the oracle returns bound * sum |sigma_i| in
     closed form for any number of points.  Copies of one point (resamples
     drawn with replacement) share a value, so their sigmas are summed first.
@@ -805,11 +757,12 @@ class SignCompleteClass:
 class SmoothedHyperplaneClass:
     """f(p) = (p.v - c)/max(|p.v - c|, eps) with ||v|| <= 1; (1/eps)-Lipschitz.
 
-    The sup oracle enumerates an explicit feasible member set: the rising
-    thresholds along the line for collinear samples (a certified lower
-    bound), or all 2^n patterns when the sample admits every pattern at
-    margin >= eps (then the enumeration is exact, since sum |sigma_i| is the
-    outright maximum over [-1,1]^n).
+    The sup oracle enumerates an explicit feasible member set, in one of two
+    modes the caller names: "collinear", the rising thresholds along the
+    line of a collinear sample (a certified lower bound), or "patterns", all
+    2^n patterns when the sample admits every pattern at margin >= eps (then
+    the enumeration is exact, since sum |sigma_i| is the outright maximum
+    over [-1,1]^n).
     """
 
     dim: int
@@ -884,22 +837,18 @@ class SmoothedHyperplaneClass:
             members.append(self.member(v, 0.0))
         return members
 
-    def sup_oracle(self, sample, mode: str = "auto"):
+    def sup_oracle(self, sample, mode: str):
         points = np.asarray(sample, dtype=float)
-        if mode in ("auto", "collinear"):
-            u = self._collinear_direction(points)
-            if u is not None:
-                members = self.threshold_members(points)
-                values = np.array([[m.value(p) for p in points] for m in members])
-                return _PatternOracle(values, members=members, exact=False)
-            if mode == "collinear":
-                raise DomainError("sample is not collinear")
-        if mode in ("auto", "patterns"):
+        if mode == "collinear":
+            members = self.threshold_members(points)
+        elif mode == "patterns":
             members = self.pattern_members(points)
-            if members is not None:
-                values = np.array([[m.value(p) for p in points] for m in members])
-                return _PatternOracle(values, members=members, exact=True)
-        raise UnsupportedClassError("no certified member set for this sample")
+            if members is None:
+                raise UnsupportedClassError("no certified member set for this sample")
+        else:
+            raise DomainError(f"unknown oracle mode {mode!r}")
+        values = np.array([[m.value(p) for p in points] for m in members])
+        return _PatternOracle(values, exact=mode == "patterns")
 
     def closed_form_gaussian(self, sample):
         return None
@@ -917,8 +866,6 @@ class ComposedSineClass:
     exact shattering witness; ERM over the oscillatory objective goes
     through the grid search in the erm module.
     """
-
-    indices: Optional[tuple] = None
 
     def member(self, theta: float) -> SineComposition:
         if not (0.0 < theta <= 1.0):
@@ -941,18 +888,14 @@ class ComposedSineClass:
                               "lattice sine instance")
         return [instance.support[p] for p in block.support_index.tolist()]
 
-    def sup_oracle(self, sample=None):
-        idx = self.indices if sample is None else tuple(sample)
-        if idx is None:
-            raise UnsupportedClassError("sup oracle needs lattice indices")
-        return _ShatterWitnessOracle(idx)
+    def sup_oracle(self, sample):
+        return _ShatterWitnessOracle(sample)
 
     def closed_form_gaussian(self, sample):
         return None
 
     def to_json(self):
-        return {"class": "composed-sine",
-                "indices": list(self.indices) if self.indices else None}
+        return {"class": "composed-sine", "indices": None}
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,14 @@
 """CLI wiring: outputs, determinism, and exit codes."""
 
+import io
 import json
 import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from modalgap.cli import build_parser, main
 from modalgap.core import CLIPPED_ABS, SeedSpec, draw_labeled
@@ -121,6 +125,39 @@ def test_config_file_supplies_defaults(tmp_path):
                  "--out", str(tmp_path / "override")])
     assert code == 0
     assert read(tmp_path / "override" / "certificate.json")["signs"] == [1, 1]
+
+
+@pytest.mark.parametrize("argv, results", [
+    (["gap", "--n", "4", "--support", "16", "--draws", "200", "--resamples", "3"],
+     ["gap.json"]),
+    (["separation", "--n", "2", "--trials", "3", "--grid", "1000"],
+     ["separation.csv", "separation.json"]),
+], ids=["gap", "separation"])
+def test_config_replays_into_a_new_out(tmp_path, argv, results):
+    # the replay names no subcommand: it comes from the recorded config
+    run = tmp_path / "run"
+    assert main(argv + ["--seed", "2", "--out", str(run)]) == 0
+    other = tmp_path / "other"
+    assert main(["--config", str(run / "config.json"), "--out", str(other)]) == 0
+    for name in results:
+        assert (other / name).read_bytes() == (run / name).read_bytes()
+    replayed = read(other / "config.json")
+    assert replayed.pop("out") == str(other)
+    recorded = read(run / "config.json")
+    recorded.pop("out")
+    assert replayed == recorded
+
+
+def test_explicit_subcommand_wins_over_config(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "separation", "seed": 5}))
+    out = tmp_path / "o"
+    assert main(["shatter", "--signs", "+-", "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    config = read(out / "config.json")
+    assert config["command"] == "shatter" and config["seed"] == 5
+    assert (out / "certificate.json").exists()
+    assert not (out / "separation.json").exists()
 
 
 SINE_8 = instance_to_json(make_sine(0.7, support=8))
@@ -242,6 +279,115 @@ def test_usage_errors_exit_one(tmp_path, capsys, argv):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "usage" in capsys.readouterr().out
+
+
+def _subparsers():
+    return next(action.choices for action in build_parser()._actions
+                if action.dest == "command")
+
+
+COMMANDS = _subparsers()
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_subcommand_help_exits_zero(capsys, command):
+    assert main([command, "--help"]) == 0
+    assert "usage" in capsys.readouterr().out
+
+
+def _numeric_options(command):
+    """(config key, flag) of every option of command that takes a number."""
+    return sorted((action.dest, action.option_strings[0])
+                  for action in COMMANDS[command]._actions
+                  if action.type in (int, float))
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _names_no_option(command, flag: str) -> bool:
+    """True when argparse cannot read flag as an option of command, not even
+    as an abbreviation."""
+    return not any(option.startswith(flag.split("=")[0])
+                   for option in COMMANDS[command]._option_string_actions)
+
+
+# subcommands whose every option has a default, so a config naming only the
+# command and one key would run if that key were valid
+NO_REQUIRED = ["bound", "gap", "necessity", "repr-compare", "separation"]
+NON_NUMERIC = st.text(max_size=8).filter(lambda t: not _is_number(t))
+NAMES = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_-", min_size=1, max_size=8)
+MISSING = object()
+
+
+@st.composite
+def rejected_inputs(draw):
+    """(argv, config file content or None or MISSING) that the CLI must
+    reject while parsing; argv reads the config path as {config}."""
+    case = draw(st.sampled_from(["unknown-flag", "unknown-subcommand",
+                                 "non-numeric", "config-missing",
+                                 "config-not-json", "config-not-object",
+                                 "config-wrong-type", "config-unknown-key"]))
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    if case == "unknown-flag":
+        flag = "--" + draw(NAMES)
+        assume(_names_no_option(command, flag))
+        return [command, flag], None
+    if case == "unknown-subcommand":
+        name = draw(NAMES.filter(lambda t: not t.startswith("-")))
+        assume(name not in COMMANDS)
+        return [name], None
+    if case == "non-numeric":
+        _, flag = draw(st.sampled_from(_numeric_options(command)))
+        return [command, flag, draw(NON_NUMERIC)], None
+    prefix = draw(st.sampled_from([[], [command]]))
+    if case == "config-missing":
+        return prefix + ["--config", "{config}"], MISSING
+    if case == "config-not-json":
+        text = draw(st.text(max_size=12))
+        try:
+            json.loads(text)
+        except ValueError:
+            return prefix + ["--config", "{config}"], text
+        assume(False)
+    if case == "config-not-object":
+        value = draw(st.one_of(st.none(), st.booleans(), st.integers(),
+                               st.text(max_size=8), st.lists(st.integers(), max_size=3)))
+        return prefix + ["--config", "{config}"], json.dumps(value)
+    command = draw(st.sampled_from(NO_REQUIRED))
+    if case == "config-wrong-type":
+        key, _ = draw(st.sampled_from(_numeric_options(command)))
+        value = draw(st.one_of(st.none(), st.just(True), NON_NUMERIC,
+                               st.lists(st.integers(), max_size=2),
+                               st.dictionaries(NAMES, st.integers(), max_size=2)))
+    else:
+        key = draw(NAMES)
+        assume(key != "command"
+               and _names_no_option(command, "--" + key.replace("_", "-")))
+        value = draw(st.integers(0, 9))
+    return ["--config", "{config}"], json.dumps({"command": command, key: value})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=rejected_inputs())
+def test_rejected_inputs_exit_one_before_running(case):
+    argv, content = case
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        if content is not None and content is not MISSING:
+            config.write_text(content)
+        argv = [str(config) if a == "{config}" else a for a in argv]
+        out = Path(tmp) / "out"
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+            code = main(argv + ["--out", str(out)])
+        assert code == 1
+        assert "error" in err.getvalue()
+        assert not out.exists()
 
 
 def test_workers_flag_only_on_monte_carlo_commands():

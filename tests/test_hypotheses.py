@@ -1,19 +1,22 @@
-"""Hypothesis classes: evaluation, sub-oracles, and sup witnesses."""
+"""Hypothesis classes: evaluation, sub-oracles, and batch sup oracles."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from modalgap.core import (DegenerateDataError, DomainError,
-                           SingularityError, UnsupportedClassError)
+from modalgap.core import (ABSOLUTE, CLIPPED_ABS, Block, DegenerateDataError,
+                           DomainError, SingularityError,
+                           UnsupportedClassError, loss_eval)
 from modalgap.hypotheses import (BooleanMapClass, ComposedSineClass,
                                  ScalingClass, ScalingConnection,
                                  SignCompleteClass, SinePredictor,
-                                 SineSingletonClass,
-                                 SmoothedHyperplaneClass, fit_scaling_lad,
+                                 SineSingletonClass, SmoothedHyperplaneClass,
+                                 TabulatedPredictor, fit_scaling_lad,
                                  fit_scaling_lad_exact, measured_lipschitz)
+from modalgap.shatter import construct
 
 
 def lad_objective(theta, xs, ys):
@@ -93,33 +96,38 @@ def test_boolean_fit_examples_and_exhaustive_audit():
 
 
 def test_sup_witness_scaling():
+    # sup over theta in (0, 1] of theta * s: s when s > 0, else the limit 0
     oracle = ScalingClass().sup_oracle(np.array([1.0]))
-    w = oracle.witness(np.array([2.0]))
-    assert w.value == 2.0 and w.attained and w.member.theta == 1.0
-    w = oracle.witness(np.array([-2.0]))
-    assert w.value == 0.0 and not w.attained
+    assert oracle.batch(np.array([[2.0], [-2.0]])).tolist() == [2.0, 0.0]
 
 
 def test_sup_witness_composed_sine_lower_bound():
+    # each value is sigma . sin on the certificate of sigma's sign pattern,
+    # which is a feasible member: the value is a certified lower bound
     rng = np.random.default_rng(8)
     for n in (2, 5, 9):
-        sigma = rng.standard_normal(n)
-        w = ComposedSineClass().sup_oracle(list(range(1, n + 1))).witness(sigma)
-        assert w.value >= 0.5 * np.abs(sigma).sum()
-        assert 0.0 < w.member.theta <= 1.0
+        indices = list(range(1, n + 1))
+        sigma = rng.standard_normal((4, n))
+        values = ComposedSineClass().sup_oracle(indices).batch(sigma)
+        assert np.all(values >= 0.5 * np.abs(sigma).sum(axis=1))
+        for row, value in zip(sigma, values):
+            signs = [1 if s >= 0 else -1 for s in row]
+            cert = construct(signs, convention="sine-sign", indices=indices)
+            assert cert.verify()
+            assert 0.0 < cert.theta <= 1.0
+            assert float(np.dot(row, np.array(cert.sine_values()))) == value
 
 
 def test_sup_witness_feasibility_vs_enumeration():
-    # witness value never exceeds the exact enumeration on a finite class
+    # the batch value is the exact enumeration over the finite class
     rng = np.random.default_rng(9)
     cls = BooleanMapClass()
     xs = rng.integers(0, 2, size=6).astype(float)
-    for _ in range(50):
-        sigma = rng.standard_normal(6)
-        w = cls.sup_oracle(xs).witness(sigma)
-        values = [float(sigma @ m.map(xs)) for m in cls.members()]
-        assert w.value == pytest.approx(max(values), abs=1e-12)
-        assert w.member.table in [(0, 0), (0, 1), (1, 0), (1, 1)]
+    sigma = rng.standard_normal((50, 6))
+    values = cls.sup_oracle(xs).batch(sigma)
+    for row, value in zip(sigma, values):
+        enumerated = [float(row @ m.map(xs)) for m in cls.members()]
+        assert value == pytest.approx(max(enumerated), abs=1e-12)
 
 
 def test_smoothed_hyperplane_lipschitz_measurement():
@@ -161,21 +169,55 @@ def test_pattern_members_margin_certificate():
 
 
 def test_unsupported_oracles_raise():
+    cls = SmoothedHyperplaneClass(dim=2, epsilon=0.1)
+    points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(UnsupportedClassError):
-        # not collinear, and the all-plus pattern has no margin at the origin
-        SmoothedHyperplaneClass(dim=2, epsilon=0.1).sup_oracle(
-            np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-    with pytest.raises(UnsupportedClassError):
-        ComposedSineClass().sup_oracle(None)
+        # the all-plus pattern has no margin at the origin
+        cls.sup_oracle(points, mode="patterns")
+    with pytest.raises(DomainError):
+        cls.sup_oracle(points, mode="collinear")
+    with pytest.raises(DomainError):
+        cls.sup_oracle(points[1:2], mode="auto")
     with pytest.raises(DomainError):
         SmoothedHyperplaneClass(dim=2, epsilon=0.0)
+
+
+def test_tabulated_predictor_first_copy_wins_and_zero_off_table():
+    key = TabulatedPredictor._key
+    member = TabulatedPredictor((key(0.1, 0.5) + (0.3,), key(0.1, 0.5) + (-0.7,),
+                                 key([0.2], [0.5]) + (-1.0,)))
+    assert member.predict(0.1, 0.5) == 0.3
+    assert member.predict([0.2], np.array([0.5])) == -1.0
+    for x, y in [(0.1, 0.7), (0.3, 0.5), (0.2, 0.1)]:
+        assert member.predict(x, y) == 0.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rows=st.lists(st.tuples(st.sampled_from([0.1, 0.2, 0.3]),
+                               st.sampled_from([0.5, 0.7]),
+                               st.floats(-3.0, 3.0)), min_size=1, max_size=12),
+       bound=st.sampled_from([0.5, 1.0, 2.0]),
+       loss=st.sampled_from([ABSOLUTE, CLIPPED_ABS]))
+def test_sign_complete_stage2_objective_is_the_row_mean(rows, bound, loss):
+    xs, ys, zs = (list(col) for col in zip(*rows))
+    block = Block(x=xs, y=ys, z=zs)
+    member, objective = SignCompleteClass(bound=bound).fit_predictor(block, loss)
+    # the member memorizes the clipped label of the first copy of each point
+    first = {}
+    for x, y, z in rows:
+        first.setdefault((x, y), min(max(z, -bound), bound))
+    assert [member.predict(x, y) for x, y, _ in rows] == [
+        first[(x, y)] for x, y, _ in rows]
+    brute = math.fsum(loss_eval(loss, first[(x, y)], z) for x, y, z in rows)
+    assert objective == pytest.approx(brute / len(rows), rel=1e-12, abs=1e-15)
+    assert member.predict(0.4, 0.5) == 0.0
 
 
 def test_sign_complete_oracle_groups_repeated_points():
     # copies of one point share a value, so their sigmas add before |.|
     oracle = SignCompleteClass(bound=2.0).sup_oracle(np.zeros((2, 1)))
     assert oracle.size == 2
-    assert oracle.witness(np.array([0.5, -1.5])).value == 2.0
+    assert oracle.batch(np.array([[0.5, -1.5]])).tolist() == [2.0]
     points = np.array([0.1, 0.2, 0.1])
     assert SignCompleteClass().closed_form_gaussian(points) == pytest.approx(
         (1.0 + math.sqrt(2.0)) * math.sqrt(2.0 / math.pi))
