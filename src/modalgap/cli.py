@@ -1,8 +1,9 @@
 """Command-line harness binding instances, fits, estimates, and experiments
 into reproducible named runs.
 
-Every run writes its resolved configuration next to the outputs, a JSON
-summary, and (where the experiment is trial-based) a CSV of per-trial rows.
+Every subcommand returns its result files, as a map from file name to text,
+and its threshold verdict; ``main`` alone writes them into ``--out`` next to
+the resolved configuration.  A run that ends in an error writes nothing.
 Outputs carry no timestamps, so identical configs re-produce identical
 bytes.  Exit code 1 means an error, usage errors included; exit code 2
 means only that the run finished but a declared threshold failed.
@@ -12,6 +13,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
+import io
 import json
 import sys
 from fractions import Fraction
@@ -34,42 +37,32 @@ EXIT_ERROR = 1
 EXIT_THRESHOLD = 2
 
 
-def _write_json(path: Path, data) -> None:
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+def _json(data) -> str:
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def _write_csv(path: Path, rows) -> None:
+def _csv(rows) -> str:
     if not rows:
-        path.write_text("")
-        return
-    with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()),
-                                lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+        return ""
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=list(rows[0].keys()),
+                            lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return text.getvalue()
 
 
 def _resolved_config(args) -> dict:
     config = {k: v for k, v in vars(args).items()
-              if k not in ("func", "config") and v is not None}
+              if k != "func" and v is not None}
     config["command"] = args.command
     return config
 
 
 def _load_instance(args):
-    if getattr(args, "instance", None):
+    if args.instance:
         return instance_from_json(json.loads(Path(args.instance).read_text()))
     return None
-
-
-def _seed(args) -> SeedSpec:
-    return SeedSpec(args.seed)
 
 
 _CLASSES = {"scaling": ScalingClass(), "signed-scaling": ScalingClass(signed=True),
@@ -98,22 +91,22 @@ def _parse_signs(text: str):
         raise DomainError("signs must be a string of + and - characters")
 
 
-def cmd_shatter(args) -> int:
-    out = _out_dir(args)
+# Each cmd_* returns (files, passed): the text of each result file by name,
+# and the threshold verdict, True where the subcommand declares none.
+
+def cmd_shatter(args):
     signs = _parse_signs(args.signs)
     if args.n is not None and args.n != len(signs):
         raise DomainError("--n disagrees with the number of signs")
     indices = [int(i) for i in args.indices.split(",")] if args.indices else None
     cert = shatter.construct(signs, convention=args.convention, indices=indices)
-    _write_json(out / "certificate.json", shatter.certificate_to_json(cert))
+    files = {"certificate.json": _json(shatter.certificate_to_json(cert))}
     if args.table:
-        _write_csv(out / "certificate.csv", shatter.certificate_table_rows(cert))
-    _write_json(out / "config.json", _resolved_config(args))
-    return EXIT_OK
+        files["certificate.csv"] = _csv(shatter.certificate_table_rows(cert))
+    return files, True
 
 
-def cmd_gaussavg(args) -> int:
-    out = _out_dir(args)
+def cmd_gaussavg(args):
     cls = _class(args.cls)
     if args.cls == "composed-sine":
         if not args.indices:
@@ -128,30 +121,26 @@ def cmd_gaussavg(args) -> int:
         sample = (flat, ys)
     else:
         sample = flat = _parse_points(args.points)
+    seed = SeedSpec(args.seed)
     fn = (complexity.gaussian_average if args.kind == "gaussian"
           else complexity.rademacher_average)
-    est = fn(cls, sample, draws=args.draws, seed=_seed(args), workers=args.workers)
+    est = fn(cls, sample, draws=args.draws, seed=seed, workers=args.workers)
     closed = (complexity.gaussian_average_closed_form(cls, sample)
               if args.kind == "gaussian"
               else complexity.rademacher_average_closed_form(cls, sample))
     data = est.to_json(cls=cls.to_json(), closed_form=closed,
-                       sample_hash=complexity.sample_bytes_hash(flat),
-                       seed=_seed(args).to_json())
-    _write_json(out / "estimate.json", data)
-    _write_json(out / "config.json", _resolved_config(args))
-    return EXIT_OK
+                       sample_hash=hashlib.sha256(flat.tobytes()).hexdigest(),
+                       seed=seed.to_json())
+    return {"estimate.json": _json(data)}, True
 
 
-def cmd_realizability(args) -> int:
-    out = _out_dir(args)
+def cmd_realizability(args):
     instance = _load_instance(args)
     cls = _class(args.cls, connection=True)
-    sample = draw_unlabeled(instance, args.T, args.m, _seed(args))
+    sample = draw_unlabeled(instance, args.T, args.m, SeedSpec(args.seed))
     xs, ys = sample.pooled_xy()
     report = complexity.approximate_realizability(cls, xs.reshape(-1), ys)
-    _write_json(out / "realizability.json", report.to_json())
-    _write_json(out / "config.json", _resolved_config(args))
-    return EXIT_OK
+    return {"realizability.json": _json(report.to_json())}, True
 
 
 def _fit_classes(args):
@@ -164,11 +153,10 @@ def _fit_classes(args):
     return connection, predictors[args.predictor]
 
 
-def cmd_fit_multimodal(args) -> int:
-    out = _out_dir(args)
+def cmd_fit_multimodal(args):
     instance = _load_instance(args)
     connection_cls, predictor_cls = _fit_classes(args)
-    seed = _seed(args)
+    seed = SeedSpec(args.seed)
     labeled = draw_labeled(instance, args.T, args.n, seed)
     unlabeled = draw_unlabeled(instance, args.T, args.m, seed)
     solution = erm.fit_multimodal(labeled, unlabeled, connection_cls,
@@ -176,18 +164,16 @@ def cmd_fit_multimodal(args) -> int:
     data = solution.to_json()
     data["labeled"] = sample_envelope(labeled, seed)
     data["unlabeled"] = sample_envelope(unlabeled, seed)
+    files = {"solution.json": _json(data)}
     if args.dump_samples:
-        (out / "labeled.csv").write_text(sample_to_csv(labeled))
-        (out / "unlabeled.csv").write_text(sample_to_csv(unlabeled))
-    _write_json(out / "solution.json", data)
-    _write_json(out / "config.json", _resolved_config(args))
-    return EXIT_OK
+        files["labeled.csv"] = sample_to_csv(labeled)
+        files["unlabeled.csv"] = sample_to_csv(unlabeled)
+    return files, True
 
 
-def cmd_fit_unimodal(args) -> int:
-    out = _out_dir(args)
+def cmd_fit_unimodal(args):
     instance = _load_instance(args)
-    seed = _seed(args)
+    seed = SeedSpec(args.seed)
     labeled = draw_labeled(instance, 1, args.n, seed)
     block = labeled.tasks[0]
     cls = _class(args.cls)
@@ -195,117 +181,87 @@ def cmd_fit_unimodal(args) -> int:
                                 CLIPPED_ABS, grid_points=args.grid)
     data = solution.to_json()
     data["sample"] = sample_envelope(labeled, seed)
-    _write_json(out / "solution.json", data)
-    _write_json(out / "config.json", _resolved_config(args))
-    return EXIT_OK
+    return {"solution.json": _json(data)}, True
 
 
-def cmd_fit_joint(args) -> int:
-    out = _out_dir(args)
+def cmd_fit_joint(args):
     instance = _load_instance(args)
-    seed = _seed(args)
+    seed = SeedSpec(args.seed)
     labeled = draw_labeled(instance, args.T, args.n, seed)
     connection_cls, predictor_cls = _fit_classes(args)
     solution = erm.fit_joint(labeled, connection_cls, predictor_cls,
                              CLIPPED_ABS, budget=args.budget)
     data = solution.to_json()
     data["sample"] = sample_envelope(labeled, seed)
-    _write_json(out / "solution.json", data)
-    _write_json(out / "config.json", _resolved_config(args))
-    return EXIT_OK
+    return {"solution.json": _json(data)}, True
 
 
-def cmd_bound(args) -> int:
-    out = _out_dir(args)
+def cmd_bound(args):
     instance = _load_instance(args) or make_sine(0.7, support=12)
     if instance.support_enumeration(0) is None:
         raise DomainError("bound needs a finite-support instance")
-    seed = _seed(args)
-    scaling = ScalingClass()
-    singleton = SineSingletonClass()
-    labeled = draw_labeled(instance, args.T, args.n, seed)
-    unlabeled = draw_unlabeled(instance, args.T, args.m, seed)
-    solution = erm.fit_multimodal(labeled, unlabeled, scaling, singleton,
-                                  CLIPPED_ABS)
-    report = analysis.excess_risk(solution, instance, singleton, CLIPPED_ABS)
-    xs_pool, _ = unlabeled.pooled_xy()
-    g_avg = scaling.closed_form_gaussian(xs_pool.reshape(-1))
-    lipschitz = SineSingletonClass.lipschitz_on(instance.min_support_y())
-    bound = analysis.risk_bound([0.0] * args.T, g_avg,
-                                solution.stage1_objective, lipschitz,
-                                args.delta, args.n, args.m, args.T)
+    bound, report = analysis.bound_trial(instance, args.n, args.m, args.T,
+                                         args.delta, SeedSpec(args.seed))
     data = bound.to_json()
     data["excess_risk"] = report.excess
     data["dominated"] = bool(report.excess <= bound.total)
     data["instance"] = instance_to_json(instance)
-    _write_json(out / "bound.json", data)
-    _write_json(out / "config.json", _resolved_config(args))
-    return EXIT_OK if data["dominated"] else EXIT_THRESHOLD
+    return {"bound.json": _json(data)}, data["dominated"]
 
 
-def cmd_gap(args) -> int:
-    out = _out_dir(args)
+def cmd_gap(args):
     instance = _load_instance(args) or make_sine(0.7, support=args.support)
     cls = _class(args.cls)
     report = analysis.heterogeneity_gap(instance, cls, SineSingletonClass(),
                                         n=args.n, draws=args.draws,
                                         resamples=args.resamples,
-                                        seed=_seed(args), workers=args.workers)
-    _write_json(out / "gap.json", report.to_json())
-    _write_json(out / "config.json", _resolved_config(args))
-    return EXIT_OK
+                                        seed=SeedSpec(args.seed),
+                                        workers=args.workers)
+    return {"gap.json": _json(report.to_json())}, True
 
 
-def cmd_separation(args) -> int:
-    out = _out_dir(args)
+def cmd_separation(args):
     stats = analysis.unimodal_failure_experiment(
-        n=args.n, trials=args.trials, seed=_seed(args), m=args.m,
+        n=args.n, trials=args.trials, seed=SeedSpec(args.seed), m=args.m,
         grid_points=args.grid)
-    _write_csv(out / "separation.csv", stats.rows())
-    _write_json(out / "separation.json", stats.summary())
-    _write_json(out / "config.json", _resolved_config(args))
-    return EXIT_OK if stats.summary()["pass"] else EXIT_THRESHOLD
+    summary = stats.summary()
+    return {"separation.csv": _csv(stats.rows()),
+            "separation.json": _json(summary)}, summary["pass"]
 
 
-def cmd_necessity(args) -> int:
-    out = _out_dir(args)
+def cmd_necessity(args):
     stats = analysis.realizability_necessity_experiment(
-        n=args.n, T=args.T, trials=args.trials, seed=_seed(args))
-    _write_csv(out / "necessity.csv", stats.rows())
-    _write_json(out / "necessity.json", stats.summary())
-    _write_json(out / "config.json", _resolved_config(args))
-    return EXIT_OK if stats.summary()["pass"] else EXIT_THRESHOLD
+        n=args.n, T=args.T, trials=args.trials, seed=SeedSpec(args.seed))
+    summary = stats.summary()
+    return {"necessity.csv": _csv(stats.rows()),
+            "necessity.json": _json(summary)}, summary["pass"]
 
 
-def cmd_repr_compare(args) -> int:
-    out = _out_dir(args)
+def cmd_repr_compare(args):
     report = analysis.representation_comparison(
-        n=args.n, k=args.k, seed=_seed(args), draws=args.draws,
+        n=args.n, k=args.k, seed=SeedSpec(args.seed), draws=args.draws,
         workers=args.workers)
     data = report.to_json()
     data["min_ratio"] = args.min_ratio
     data["pass"] = bool(report.ratio >= args.min_ratio)
-    _write_json(out / "repr_compare.json", data)
-    _write_json(out / "config.json", _resolved_config(args))
-    return EXIT_OK if data["pass"] else EXIT_THRESHOLD
+    return {"repr_compare.json": _json(data)}, data["pass"]
 
 
-def cmd_separability(args) -> int:
-    out = _out_dir(args)
+def cmd_separability(args):
     points = [Fraction(p) for p in args.fixed_points.split(",")]
     instance = make_separable_from_fixed_points(points)
-    sample = draw_labeled(instance, 1, args.sample_size, _seed(args))
+    sample = draw_labeled(instance, 1, args.sample_size, SeedSpec(args.seed))
     report = analysis.separability_check(instance, sample)
     data = report.to_json()
     expected = report.interior_fixed_points
     data["pass"] = bool(report.separable and report.crossings == expected)
-    _write_json(out / "separability.json", data)
-    _write_json(out / "config.json", _resolved_config(args))
-    return EXIT_OK if data["pass"] else EXIT_THRESHOLD
+    return {"separability.json": _json(data)}, data["pass"]
 
 
-def _apply_config_defaults(parser, argv):
-    """--config JSON supplies defaults; explicit flags win."""
+def _apply_config_defaults(argv):
+    """--config JSON supplies defaults.  Its flags go between the subcommand
+    and the command line's own flags; argparse keeps the last value given,
+    so an explicit flag wins however it is spelled (--out=b, --sig)."""
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
@@ -314,22 +270,20 @@ def _apply_config_defaults(parser, argv):
     config = json.loads(Path(argv[idx + 1]).read_text())
     if not isinstance(config, dict):
         raise DomainError("--config must name a JSON object")
-    cleaned = argv[:idx] + argv[idx + 2:]
-    if "command" in config and (not cleaned or cleaned[0].startswith("-")):
+    rest = argv[:idx] + argv[idx + 2:]
+    if rest and not rest[0].startswith("-"):
+        command = [rest.pop(0)]
+    else:
         # a replay names no subcommand, or only flags such as a new --out
-        cleaned = [str(config["command"])] + cleaned
-    extra = []
+        command = [str(config["command"])] if "command" in config else []
+    recorded = []
     for key, value in config.items():
-        if key == "command":
-            continue
         flag = "--" + key.replace("_", "-")
-        if flag not in cleaned:
-            if isinstance(value, bool):
-                if value:
-                    extra.append(flag)
-            else:
-                extra.extend([flag, str(value)])
-    return cleaned + extra
+        if key == "command" or value is False:
+            continue
+        # flag=value, so a value that starts with "-" is not read as a flag
+        recorded.append(flag if value is True else f"{flag}={value}")
+    return command + recorded + rest
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -463,11 +417,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        argv = _apply_config_defaults(parser, argv)
-        args = parser.parse_args(argv)
-        code = args.func(args)
+        args = build_parser().parse_args(_apply_config_defaults(argv))
+        files, passed = args.func(args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in {**files, "config.json": _json(_resolved_config(args))}.items():
+            (out / name).write_text(text)
     except SystemExit as stop:
         # argparse has printed the help text (0) or a usage error, which must
         # not read as a failed threshold
@@ -475,11 +431,10 @@ def main(argv=None) -> int:
     except (ModalgapError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
-    if getattr(args, "json", False):
-        out = Path(args.out)
-        for name in sorted(p.name for p in out.glob("*.json") if p.name != "config.json"):
-            print((out / name).read_text(), end="")
-    return code
+    if args.json:
+        for name in sorted(n for n in files if n.endswith(".json")):
+            print(files[name], end="")
+    return EXIT_OK if passed else EXIT_THRESHOLD
 
 
 if __name__ == "__main__":

@@ -8,7 +8,6 @@ witness-lower-bound where a feasible member certifies a lower bound.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -135,7 +134,3 @@ def approximate_realizability(cls, xs, ys) -> RealizabilityReport:
     residuals = np.asarray(residuals, dtype=float)
     return RealizabilityReport(value=float(np.mean(residuals)), witness=member,
                                residuals=residuals)
-
-
-def sample_bytes_hash(sample) -> str:
-    return hashlib.sha256(np.ascontiguousarray(np.asarray(sample, dtype=float)).tobytes()).hexdigest()

@@ -52,17 +52,14 @@ class Loss:
 
     clipped-absolute maps into [0, 1] for any inputs; plain absolute is the
     caller's responsibility to keep in range.  Both are 1-Lipschitz in the
-    prediction when scale == 1.
+    prediction.
     """
 
     kind: str = "clipped-absolute"
-    scale: float = 1.0
 
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise DomainError(f"unknown loss kind {self.kind!r}")
-        if not (self.scale > 0 and math.isfinite(self.scale)):
-            raise DomainError("loss scale must be positive and finite")
 
 
 CLIPPED_ABS = Loss("clipped-absolute")
@@ -70,10 +67,10 @@ ABSOLUTE = Loss("absolute")
 
 
 def loss_eval(loss: Loss, prediction: float, z: float) -> float:
-    """Evaluate the loss; clipped-absolute is min(scale*|p - z|, 1)."""
+    """Evaluate the loss; clipped-absolute is min(|p - z|, 1)."""
     if not (math.isfinite(prediction) and math.isfinite(z)):
         raise InvalidInputError("loss_eval needs finite prediction and label")
-    d = loss.scale * abs(prediction - z)
+    d = abs(prediction - z)
     if loss.kind == "clipped-absolute":
         return min(d, 1.0)
     return d

@@ -373,7 +373,7 @@ def _grid_erm(objective, grid_points: int, refine: bool):
 
 
 def _clipped_mean_losses(preds, zs, loss: Loss):
-    d = loss.scale * np.abs(preds - zs)
+    d = np.abs(preds - zs)
     if loss.kind == "clipped-absolute":
         d = np.minimum(d, 1.0)
     return d.mean(axis=-1)
@@ -483,7 +483,7 @@ class ScalingClass:
     def fit_x(self, xs, zs, loss: Loss, grid_points: int, refine: bool):
         """The exact weighted-median LAD under plain absolute loss, the
         recorded-resolution grid over (0, 1] otherwise."""
-        if loss.kind == "absolute" and loss.scale == 1.0:
+        if loss.kind == "absolute":
             theta = fit_scaling_lad(xs, zs, signed=self.signed)
             return UnimodalSolution(member=ScalingConnection(theta),
                                     objective=float(np.mean(np.abs(theta * xs - zs))),

@@ -160,6 +160,37 @@ def test_explicit_subcommand_wins_over_config(tmp_path):
     assert not (out / "separation.json").exists()
 
 
+@pytest.mark.parametrize("recorded, argv, signs, seed", [
+    ("+-+", ["--out={b}"], [1, -1, 1], 0),
+    ("+-+", ["--sig", "++", "--out", "{b}"], [1, 1], 0),
+    ("+-+", ["--seed=7", "--out", "{b}"], [1, -1, 1], 7),
+    ("-+-", ["--out", "{b}"], [-1, 1, -1], 0),
+], ids=["out-equals", "abbreviated", "seed-equals",
+        "recorded-value-starting-with-minus"])
+def test_replay_honours_every_spelling_of_a_flag(tmp_path, recorded, argv,
+                                                 signs, seed):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["shatter", "--signs=" + recorded, "--out", str(a)]) == 0
+    config = (a / "config.json").read_bytes()
+    argv = [arg.replace("{b}", str(b)) for arg in argv]
+    assert main(["--config", str(a / "config.json")] + argv) == 0
+    assert read(b / "certificate.json")["signs"] == signs
+    replayed = read(b / "config.json")
+    assert replayed["out"] == str(b) and replayed["seed"] == seed
+    assert (a / "config.json").read_bytes() == config
+
+
+def test_json_echoes_only_this_runs_files(tmp_path, capsys):
+    out = tmp_path / "g"
+    assert main(["gap", "--n", "4", "--support", "16", "--draws", "200",
+                 "--resamples", "3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["bound", "--n", "4", "--m", "32", "--T", "1", "--json",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (out / "bound.json").read_text()
+    assert (out / "gap.json").exists()
+
+
 SINE_8 = instance_to_json(make_sine(0.7, support=8))
 SUBSPACE_3 = instance_to_json(make_subspace([0.6, 0.0, 0.8], [0.1, 0.0, 0.2]))
 SEPARABLE = instance_to_json(make_separable_from_fixed_points([0, 0.5, 1]))
@@ -210,6 +241,8 @@ def test_lab_errors_exit_one(tmp_path, capsys, instance, argv):
         argv = argv + ["--instance", str(path)]
     assert main(argv + ["--out", str(tmp_path / "o")]) == 1
     assert "error" in capsys.readouterr().err
+    # a failed run writes nothing, not even its config
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("content", [None, "[1, 2]"], ids=["no-path", "json-list"])

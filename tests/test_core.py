@@ -36,8 +36,6 @@ def test_loss_rejects_bad_inputs():
         loss_eval(CLIPPED_ABS, 0.0, float("inf"))
     with pytest.raises(DomainError):
         Loss(kind="hinge")
-    with pytest.raises(DomainError):
-        Loss(scale=0.0)
 
 
 def test_seed_spec_streams_are_stable_and_independent():

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from modalgap.cli import main
+from modalgap.cli import build_parser, main
 from modalgap.core import SeedSpec, draw_labeled, draw_unlabeled, sample_to_csv
 from modalgap.instances import (instance_to_json, make_boolean,
                                 make_separable_from_fixed_points, make_sine,
@@ -297,6 +297,13 @@ RESULT_HASHES = {
     },
 }
 RESULT_HASHES["gap-default-workers-3"] = RESULT_HASHES["gap-default"]
+
+
+def test_every_subcommand_has_a_golden_run(tmp_path):
+    parser = build_parser()
+    commands = next(action.choices for action in parser._actions
+                    if action.dest == "command")
+    assert {RUNS[run](tmp_path)[0] for run in RUNS} == set(commands)
 
 
 @pytest.mark.parametrize("run", sorted(RUNS))

@@ -108,11 +108,9 @@ def test_sign_complete_closed_forms_on_repeated_points(slots, bound):
 @PROPERTY
 @given(rows=st.lists(st.tuples(st.integers(0, 3), st.floats(-2.0, 2.0)),
                      min_size=1, max_size=8),
-       bound=st.floats(0.1, 1.5), kind=st.sampled_from(["absolute", "clipped-absolute"]),
-       scale=st.floats(0.5, 4.0))
-def test_sign_complete_population_risk_matches_value_scan(rows, bound, kind,
-                                                           scale):
-    loss = Loss(kind, scale)
+       bound=st.floats(0.1, 1.5), kind=st.sampled_from(["absolute", "clipped-absolute"]))
+def test_sign_complete_population_risk_matches_value_scan(rows, bound, kind):
+    loss = Loss(kind)
     xs = np.array([float(x) for x, _ in rows])
     zs = np.array([z for _, z in rows])
     solution = SignCompleteClass(bound=bound).fit_x(xs, zs, loss,
