@@ -631,16 +631,18 @@ class BoundScalingReport:
 
 
 def bound_trial(instance, n: int, m: int, T: int, delta: float,
-                seed: SeedSpec, loss: Loss = CLIPPED_ABS):
+                seed: SeedSpec):
     """One two-stage fit of the scaling connection and the sine predictor
-    on fresh samples, its excess risk, and the bound assembled from
-    closed-form inputs, as (BoundReport, RiskReport)."""
+    on fresh samples, its excess risk under the clipped absolute loss, and
+    the bound assembled from closed-form inputs, as (BoundReport,
+    RiskReport)."""
     scaling = ScalingClass()
     singleton = SineSingletonClass()
     labeled = draw_labeled(instance, T, n, seed)
     unlabeled = draw_unlabeled(instance, T, m, seed)
-    solution = fit_multimodal(labeled, unlabeled, scaling, singleton, loss)
-    report = excess_risk(solution, instance, singleton, loss)
+    solution = fit_multimodal(labeled, unlabeled, scaling, singleton,
+                              CLIPPED_ABS)
+    report = excess_risk(solution, instance, singleton, CLIPPED_ABS)
     xs_pool, _ = unlabeled.pooled_xy()
     g_avg = scaling.closed_form_gaussian(xs_pool.reshape(-1))
     lipschitz = SineSingletonClass.lipschitz_on(instance.min_support_y())
@@ -651,8 +653,7 @@ def bound_trial(instance, n: int, m: int, T: int, delta: float,
 
 def bound_scaling_experiment(ns, ms, Ts, seeds, theta_star: float = 0.7,
                              support_size: int = 12, delta: float = 0.05,
-                             seed: SeedSpec = SeedSpec(11),
-                             loss: Loss = CLIPPED_ABS) -> BoundScalingReport:
+                             seed: SeedSpec = SeedSpec(11)) -> BoundScalingReport:
     """Fit the two-stage solution over a size grid and compare the measured
     excess risk against the assembled bound with closed-form inputs.
 
@@ -671,8 +672,7 @@ def bound_scaling_experiment(ns, ms, Ts, seeds, theta_star: float = 0.7,
             for T in Ts:
                 for s in range(seeds):
                     bound, report = bound_trial(instance, n, m, T, delta,
-                                                seed.child("run", n, m, T, s),
-                                                loss)
+                                                seed.child("run", n, m, T, s))
                     rows.append({
                         "n": n, "m": m, "T": T, "seed": s,
                         "excess": report.excess,
