@@ -400,23 +400,15 @@ def boolean_count_formula(xs, ys):
 
 def boolean_population_excess(instance: BooleanInstance) -> Fraction:
     """Exact excess of the best x-only composition over the best (x, y)
-    predictor, enumerated over the four support patterns per task.
+    predictor, in closed form.
 
-    The composition predicts a value p(x); the per-x objective is piecewise
-    linear in p with breakpoints at the two labels, so scanning those
-    candidates is an exact minimization.
+    The best (x, y) predictor reads b_t(y) and has risk 0.  The composition
+    predicts one value p for both labels b0, b1 of task t, at mean loss
+    (|p - b0| + |p - b1|)/2, whose minimum |b0 - b1|/2 is reached at either
+    label.
     """
-    total = Fraction(0)
-    for t in range(instance.task_count):
-        b0, b1 = instance.tables[t]
-        candidates = sorted({Fraction(b0), Fraction(b1)})
-        best = None
-        for p in candidates:
-            risk = (abs(p - b0) + abs(p - b1)) / 2
-            if best is None or risk < best:
-                best = risk
-        total += best  # best both-modality risk is exactly 0: predict b_t(y)
-    return total / instance.task_count
+    return sum(Fraction(abs(b0 - b1), 2)
+               for b0, b1 in instance.tables) / instance.task_count
 
 
 @dataclass(frozen=True, eq=False)
@@ -535,6 +527,24 @@ def representation_comparison(n: int, k: int, seed: SeedSpec,
     if n > k:
         raise DomainError("shattering needs n <= k")
     eps = 1.0 / (10.0 * math.sqrt(k))
+    collinear_points, adversarial_points = _representation_samples(n, k, seed)
+    cls = SmoothedHyperplaneClass(1 + k, eps)
+    inner = seed.child("draws")
+    collinear_oracle = cls.sup_oracle(collinear_points, mode="collinear")
+    adversarial_oracle = cls.sup_oracle(adversarial_points, mode="patterns")
+    collinear = gaussian_average(cls, collinear_points, draws=draws,
+                                 seed=inner, workers=workers,
+                                 oracle=collinear_oracle)
+    adversarial = gaussian_average(cls, adversarial_points, draws=draws,
+                                   seed=inner, workers=workers,
+                                   oracle=adversarial_oracle)
+    return ReprComparisonReport(n, k, eps, collinear, adversarial)
+
+
+def _representation_samples(n: int, k: int, seed: SeedSpec):
+    """The two n-point samples in R^(1+k) of representation_comparison:
+    (x, x v + y0) on one line, and (x, e_i), which every sign pattern
+    separates."""
     rng = seed.child("sample").generator()
     v = rng.standard_normal(k)
     v *= 0.9 / np.linalg.norm(v)
@@ -547,19 +557,7 @@ def representation_comparison(n: int, k: int, seed: SeedSpec,
     collinear_points = np.column_stack([xs, np.outer(xs, v) + y0])
     basis = np.zeros((n, k))
     basis[np.arange(n), np.arange(n)] = 1.0
-    adversarial_points = np.column_stack([xs, basis])
-
-    cls = SmoothedHyperplaneClass(1 + k, eps)
-    inner = seed.child("draws")
-    collinear_oracle = cls.sup_oracle(collinear_points, mode="collinear")
-    adversarial_oracle = cls.sup_oracle(adversarial_points, mode="patterns")
-    collinear = gaussian_average(cls, collinear_points, draws=draws,
-                                 seed=inner, workers=workers,
-                                 oracle=collinear_oracle)
-    adversarial = gaussian_average(cls, adversarial_points, draws=draws,
-                                   seed=inner, workers=workers,
-                                   oracle=adversarial_oracle)
-    return ReprComparisonReport(n, k, eps, collinear, adversarial)
+    return collinear_points, np.column_stack([xs, basis])
 
 
 @dataclass(frozen=True, eq=False)

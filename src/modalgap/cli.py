@@ -261,16 +261,21 @@ def cmd_separability(args):
 def _apply_config_defaults(argv):
     """--config JSON supplies defaults.  Its flags go between the subcommand
     and the command line's own flags; argparse keeps the last value given,
-    so an explicit flag wins however it is spelled (--out=b, --sig)."""
-    if "--config" not in argv:
+    so an explicit flag wins however it is spelled (--out=b, --sig).  The
+    path is given as --config PATH or --config=PATH."""
+    idx = next((i for i, arg in enumerate(argv)
+                if arg.partition("=")[0] == "--config"), None)
+    if idx is None:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 == len(argv) or argv[idx + 1].startswith("--"):
+    _, equals, path = argv[idx].partition("=")
+    if not equals and idx + 1 < len(argv) and not argv[idx + 1].startswith("--"):
+        path = argv[idx + 1]
+    if not path:
         raise DomainError("--config needs the path of a JSON file")
-    config = json.loads(Path(argv[idx + 1]).read_text())
+    config = json.loads(Path(path).read_text())
     if not isinstance(config, dict):
         raise DomainError("--config must name a JSON object")
-    rest = argv[:idx] + argv[idx + 2:]
+    rest = argv[:idx] + argv[idx + (1 if equals else 2):]
     if rest and not rest[0].startswith("-"):
         command = [rest.pop(0)]
     else:

@@ -14,7 +14,12 @@ branch on its type:
   complexity estimators.  Its batch(sigma) gives one value per row of
   sigma, with no member: the exact supremum where the oracle is exact,
   otherwise the value of a feasible member, so estimates built from it are
-  valid lower bounds of the true supremum.
+  valid lower bounds of the true supremum.  Oracles work on arrays: the
+  hyperplane oracle holds one value matrix and no member objects, and the
+  composed sine oracle builds one certificate per distinct sign pattern of
+  a batch.
+- closed_form_gaussian(sample) / closed_form_rademacher(sample): the
+  analytic average, defined only on the classes that have one.
 - fit_connection(xs, ys) and joint_candidates(per_eval, budget): the
   connection fit and the candidates of the joint search.
 
@@ -23,7 +28,6 @@ Every connection member is called as member.map(x).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +35,7 @@ from typing import Optional
 
 import numpy as np
 
+from .complexity import gaussian_average_closed_form
 from .core import (DegenerateDataError, DomainError, Loss, SingularityError,
                    UnsupportedClassError, loss_eval, mean_loss)
 from .instances import SineInstance
@@ -122,6 +127,11 @@ class BooleanPredictor:
         return {"member": "boolean-lookup", "table": list(self.table)}
 
 
+def _smoothed_sign(s, epsilon):
+    """s / max(|s|, eps), elementwise: the hyperplane value at offset s."""
+    return s / np.maximum(np.abs(s), epsilon)
+
+
 @dataclass(frozen=True, eq=False)
 class HyperplanePredictor:
     """f(p) = (p.v - c) / max(|p.v - c|, eps) on the stacked point (x, y)."""
@@ -131,8 +141,8 @@ class HyperplanePredictor:
     epsilon: float
 
     def value(self, point: np.ndarray) -> float:
-        s = float(np.dot(self.v, point)) - self.c
-        return s / max(abs(s), self.epsilon)
+        return float(_smoothed_sign(float(np.dot(self.v, point)) - self.c,
+                                    self.epsilon))
 
     def predict(self, x, y) -> float:
         point = np.concatenate([np.atleast_1d(x), np.atleast_1d(y)])
@@ -288,35 +298,30 @@ class _ShatterWitnessOracle(SupOracle):
     (>= sum |sigma_i| / 2 by the window guarantee), not the exact supremum.
 
     Repeated indices (iid draws can hit the same lattice point) share one
-    sign, chosen to match the group's sigma sum.
+    sign, chosen to match the group's sigma sum.  A batch builds one
+    certificate per distinct sign pattern among its rows.
     """
 
+    exact = False
+
     def __init__(self, indices):
-        self.positions = tuple(int(i) for i in indices)
-        self.unique = tuple(sorted(set(self.positions)))
-        self._slot = np.array([self.unique.index(i) for i in self.positions])
-        self.size = len(self.positions)
-        self.exact = False
-        self._cache = {}
-
-    def _sines_for(self, signs: tuple) -> np.ndarray:
-        sines = self._cache.get(signs)
-        if sines is None:
-            cert = shatter.construct(signs, convention="sine-sign",
-                                     indices=self.unique)
-            sines = np.array(cert.sine_values())
-            if len(self._cache) < 1 << 16:
-                self._cache[signs] = sines
-        return sines
-
-    def _one(self, sigma) -> float:
-        sums = np.zeros(len(self.unique))
-        np.add.at(sums, self._slot, sigma)
-        signs = tuple(int(s) for s in np.where(sums >= 0, 1, -1))
-        return float(np.dot(sums, self._sines_for(signs)))
+        self.unique, self._slot = np.unique([int(i) for i in indices],
+                                            return_inverse=True)
+        self.size = len(self._slot)
 
     def batch(self, sigma):
-        return np.array([self._one(row) for row in sigma])
+        # np.add.at adds a group's copies in draw order; a 0/1 matrix product
+        # may add three or more in another order and change the last bit
+        sums = np.zeros((len(sigma), len(self.unique)))
+        np.add.at(sums, (slice(None), self._slot), sigma)
+        patterns, which = np.unique(np.where(sums >= 0, 1, -1), axis=0,
+                                    return_inverse=True)
+        sines = np.array([shatter.construct(signs, convention="sine-sign",
+                                            indices=self.unique).sine_values()
+                          for signs in patterns])
+        # one dot per row keeps the bits of the per-draw value
+        return np.array([np.dot(row, sine) for row, sine
+                         in zip(sums, sines[which.reshape(-1)])])
 
 
 # ---------------------------------------------------------------------------
@@ -556,9 +561,6 @@ class BooleanMapClass:
     def sup_oracle(self, sample):
         return _BooleanMapOracle(sample)
 
-    def closed_form_gaussian(self, sample):
-        return None
-
     def to_json(self):
         return {"class": "boolean-map"}
 
@@ -637,8 +639,6 @@ class SineSingletonClass:
 class BooleanLookupClass:
     """f(x, y) = table[y] for the four boolean tables."""
 
-    oracle_input = _reads_xy
-
     def members(self):
         return [BooleanPredictor(t) for t in _ALL_TABLES]
 
@@ -653,16 +653,6 @@ class BooleanLookupClass:
     def comparator_risk(self, instance, t: int, loss: Loss, block) -> Fraction:
         return min(mean_loss(loss, _row_predictions(member, block), block.z)
                    for member in self.members())
-
-    def sup_oracle(self, sample):
-        xs, ys = sample
-        ys = np.asarray(ys, dtype=float).reshape(-1)
-        mask1 = ys >= 0.5
-        values = [np.where(mask1, float(t[1]), float(t[0])) for t in _ALL_TABLES]
-        return _PatternOracle(np.array(values), exact=True)
-
-    def closed_form_gaussian(self, sample):
-        return None
 
     def to_json(self):
         return {"class": "boolean-lookup"}
@@ -757,12 +747,13 @@ class SignCompleteClass:
 class SmoothedHyperplaneClass:
     """f(p) = (p.v - c)/max(|p.v - c|, eps) with ||v|| <= 1; (1/eps)-Lipschitz.
 
-    The sup oracle enumerates an explicit feasible member set, in one of two
-    modes the caller names: "collinear", the rising thresholds along the
-    line of a collinear sample (a certified lower bound), or "patterns", all
-    2^n patterns when the sample admits every pattern at margin >= eps (then
-    the enumeration is exact, since sum |sigma_i| is the outright maximum
-    over [-1,1]^n).
+    The sup oracle maximizes over the value matrix of an explicit feasible
+    member set, built as one array, in one of two modes the caller names:
+    "collinear", the n+1 rising thresholds along the line of a collinear
+    sample (a certified lower bound), or "patterns", all 2^n sign patterns
+    when one margin product certifies every pattern at margin >= eps.  The
+    values are then the +-1 patterns themselves, and the maximum is exact,
+    since sum |sigma_i| is the outright maximum over [-1,1]^n.
     """
 
     dim: int
@@ -799,59 +790,53 @@ class SmoothedHyperplaneClass:
             return None
         return u
 
-    def threshold_members(self, points) -> list:
-        """The rising threshold members sign(t - c) (+1 past the cut) along a
-        collinear sample, one per cut between consecutive points and one
-        beyond each end: a feasible witness collection."""
-        points = np.asarray(points, dtype=float)
+    def _threshold_values(self, points):
+        """Values of the rising threshold members sign(t - c) (+1 past the
+        cut) along a collinear sample, one per cut between consecutive points
+        and one beyond each end: a feasible witness collection."""
         u = self._collinear_direction(points)
         if u is None:
             raise DomainError("threshold members need a collinear sample")
-        t = points @ u
-        spots = np.sort(t)
+        spots = np.sort(points @ u)
         cuts = np.concatenate([[spots[0] - 1.0],
                                (spots[:-1] + spots[1:]) / 2.0,
                                [spots[-1] + 1.0]])
-        return [self.member(u, c) for c in cuts]
+        # one np.dot per point, as a member scores it: points @ u can differ
+        # in the last bit
+        t = np.array([np.dot(u, p) for p in points])
+        return _smoothed_sign(t - cuts[:, None], self.epsilon)
 
-    def pattern_members(self, points) -> Optional[list]:
-        """One member per sign pattern when every pattern has margin >= eps.
+    def _pattern_values(self, points):
+        """The 2^n sign patterns as rows, once every pattern is certified at
+        margin >= eps.
 
-        Uses v = (pattern restricted to the point coordinates)/sqrt(n); the
-        construction certifies itself by checking the realized margins.
+        Pattern p gets v = lstsq(points, p/sqrt(n)); one matrix product gives
+        every margin.  A certified margin has |s| >= eps, so each value
+        s/max(|s|, eps) is exactly the sign of p.
         """
-        points = np.asarray(points, dtype=float)
         n = points.shape[0]
         if n > 20:
             raise DomainError("pattern enumeration capped at 20 points")
-        members = []
-        for pattern in itertools.product((-1.0, 1.0), repeat=n):
-            p = np.array(pattern)
-            v, _, _, _ = np.linalg.lstsq(points, p / math.sqrt(n), rcond=None)
-            norm = np.linalg.norm(v)
-            if norm > 1:
-                return None
-            margins = points @ v
-            if np.any(np.sign(margins) != np.sign(p)) or np.min(np.abs(margins)) < self.epsilon:
-                return None
-            members.append(self.member(v, 0.0))
-        return members
+        bits = (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+        patterns = 2.0 * bits - 1.0
+        normals = np.array([np.linalg.lstsq(points, p / math.sqrt(n), rcond=None)[0]
+                            for p in patterns])
+        margins = normals @ points.T
+        if (np.linalg.norm(normals, axis=1).max() > 1
+                or np.any(np.sign(margins) != patterns)
+                or np.min(np.abs(margins)) < self.epsilon):
+            raise UnsupportedClassError("no certified member set for this sample")
+        return patterns
 
     def sup_oracle(self, sample, mode: str):
         points = np.asarray(sample, dtype=float)
+        if points.shape[1] != self.dim:
+            raise DomainError("sample points have the wrong dimension")
         if mode == "collinear":
-            members = self.threshold_members(points)
-        elif mode == "patterns":
-            members = self.pattern_members(points)
-            if members is None:
-                raise UnsupportedClassError("no certified member set for this sample")
-        else:
-            raise DomainError(f"unknown oracle mode {mode!r}")
-        values = np.array([[m.value(p) for p in points] for m in members])
-        return _PatternOracle(values, exact=mode == "patterns")
-
-    def closed_form_gaussian(self, sample):
-        return None
+            return _PatternOracle(self._threshold_values(points), exact=False)
+        if mode == "patterns":
+            return _PatternOracle(self._pattern_values(points), exact=True)
+        raise DomainError(f"unknown oracle mode {mode!r}")
 
     def to_json(self):
         return {"class": "smoothed-hyperplane", "dim": self.dim,
@@ -891,9 +876,6 @@ class ComposedSineClass:
     def sup_oracle(self, sample):
         return _ShatterWitnessOracle(sample)
 
-    def closed_form_gaussian(self, sample):
-        return None
-
     def to_json(self):
         return {"class": "composed-sine", "indices": None}
 
@@ -926,7 +908,7 @@ class XOnlyPredictorClass:
 
     def closed_form_gaussian(self, sample):
         xs, _ = sample
-        return self.inner.closed_form_gaussian(xs)
+        return gaussian_average_closed_form(self.inner, xs)
 
     def to_json(self):
         return {"class": "x-only", "inner": self.inner.to_json()}

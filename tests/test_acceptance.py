@@ -176,16 +176,19 @@ def test_criterion_7_bound_dominance_and_scaling():
 
 
 def test_criterion_8_representation_separation():
+    start = time.time()
     seed = SeedSpec(808)
     reports = {n: representation_comparison(n=n, k=16, seed=seed.child(n),
                                             draws=10_000 if n <= 8 else 4096)
                for n in (4, 8, 16)}
+    elapsed = time.time() - start
     ratio8 = reports[8].ratio
     ok = ratio8 >= 1.8 and reports[16].ratio > reports[4].ratio
     report("8 representation-learning separation",
            ok,
            f"ratio(8) = {ratio8:.3f} >= 1.8, "
-           f"ratio(16) = {reports[16].ratio:.3f} > ratio(4) = {reports[4].ratio:.3f}")
+           f"ratio(16) = {reports[16].ratio:.3f} > ratio(4) = {reports[4].ratio:.3f}, "
+           f"{elapsed:.1f}s")
 
 
 def test_criterion_9_separability():

@@ -127,18 +127,22 @@ def test_config_file_supplies_defaults(tmp_path):
     assert read(tmp_path / "override" / "certificate.json")["signs"] == [1, 1]
 
 
-@pytest.mark.parametrize("argv, results", [
+SEPARATION_ARGV = ["separation", "--n", "2", "--trials", "3", "--grid", "1000"]
+
+
+@pytest.mark.parametrize("argv, results, config", [
     (["gap", "--n", "4", "--support", "16", "--draws", "200", "--resamples", "3"],
-     ["gap.json"]),
-    (["separation", "--n", "2", "--trials", "3", "--grid", "1000"],
-     ["separation.csv", "separation.json"]),
-], ids=["gap", "separation"])
-def test_config_replays_into_a_new_out(tmp_path, argv, results):
+     ["gap.json"], ["--config", "{cfg}"]),
+    (SEPARATION_ARGV, ["separation.csv", "separation.json"], ["--config", "{cfg}"]),
+    (SEPARATION_ARGV, ["separation.csv", "separation.json"], ["--config={cfg}"]),
+], ids=["gap", "separation", "separation-config-equals"])
+def test_config_replays_into_a_new_out(tmp_path, argv, results, config):
     # the replay names no subcommand: it comes from the recorded config
     run = tmp_path / "run"
     assert main(argv + ["--seed", "2", "--out", str(run)]) == 0
     other = tmp_path / "other"
-    assert main(["--config", str(run / "config.json"), "--out", str(other)]) == 0
+    config = [arg.replace("{cfg}", str(run / "config.json")) for arg in config]
+    assert main(config + ["--out", str(other)]) == 0
     for name in results:
         assert (other / name).read_bytes() == (run / name).read_bytes()
     replayed = read(other / "config.json")
@@ -161,19 +165,21 @@ def test_explicit_subcommand_wins_over_config(tmp_path):
 
 
 @pytest.mark.parametrize("recorded, argv, signs, seed", [
-    ("+-+", ["--out={b}"], [1, -1, 1], 0),
-    ("+-+", ["--sig", "++", "--out", "{b}"], [1, 1], 0),
-    ("+-+", ["--seed=7", "--out", "{b}"], [1, -1, 1], 7),
-    ("-+-", ["--out", "{b}"], [-1, 1, -1], 0),
+    ("+-+", ["--config", "{cfg}", "--out={b}"], [1, -1, 1], 0),
+    ("+-+", ["--config", "{cfg}", "--sig", "++", "--out", "{b}"], [1, 1], 0),
+    ("+-+", ["--config", "{cfg}", "--seed=7", "--out", "{b}"], [1, -1, 1], 7),
+    ("-+-", ["--config", "{cfg}", "--out", "{b}"], [-1, 1, -1], 0),
+    ("+-+", ["shatter", "--config={cfg}", "--out", "{b}"], [1, -1, 1], 0),
 ], ids=["out-equals", "abbreviated", "seed-equals",
-        "recorded-value-starting-with-minus"])
+        "recorded-value-starting-with-minus", "config-equals"])
 def test_replay_honours_every_spelling_of_a_flag(tmp_path, recorded, argv,
                                                  signs, seed):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["shatter", "--signs=" + recorded, "--out", str(a)]) == 0
     config = (a / "config.json").read_bytes()
-    argv = [arg.replace("{b}", str(b)) for arg in argv]
-    assert main(["--config", str(a / "config.json")] + argv) == 0
+    argv = [arg.replace("{b}", str(b)).replace("{cfg}", str(a / "config.json"))
+            for arg in argv]
+    assert main(argv) == 0
     assert read(b / "certificate.json")["signs"] == signs
     replayed = read(b / "config.json")
     assert replayed["out"] == str(b) and replayed["seed"] == seed
@@ -245,9 +251,11 @@ def test_lab_errors_exit_one(tmp_path, capsys, instance, argv):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("content", [None, "[1, 2]"], ids=["no-path", "json-list"])
-def test_bad_config_exits_one(tmp_path, capsys, content):
-    argv = ["shatter", "--signs", "+-", "--config"]
+@pytest.mark.parametrize("flag, content", [
+    ("--config", None), ("--config", "[1, 2]"), ("--config=", None),
+], ids=["no-path", "json-list", "equals-no-path"])
+def test_bad_config_exits_one(tmp_path, capsys, flag, content):
+    argv = ["shatter", "--signs", "+-", flag]
     if content is not None:
         path = tmp_path / "cfg.json"
         path.write_text(content)

@@ -13,7 +13,8 @@ from modalgap.complexity import (approximate_realizability, gaussian_average,
                                  rademacher_average_closed_form)
 from modalgap.hypotheses import (BooleanMapClass, ComposedSineClass,
                                  ScalingClass, SignCompleteClass,
-                                 SineSingletonClass)
+                                 SineSingletonClass, SmoothedHyperplaneClass,
+                                 XOnlyPredictorClass)
 
 SEED = SeedSpec(314)
 
@@ -81,7 +82,16 @@ def test_rademacher_examples():
 def test_unsupported_closed_form_returns_none():
     assert gaussian_average_closed_form(BooleanMapClass(), np.array([0.0, 1.0])) is None
     assert gaussian_average_closed_form(ComposedSineClass(), [1, 2]) is None
+    assert gaussian_average_closed_form(SmoothedHyperplaneClass(2, 0.1),
+                                        np.eye(2)) is None
     assert rademacher_average_closed_form(ScalingClass(), np.ones(3)) is None
+    # the x-only view has a closed form exactly where its inner class has one
+    xs, ys = np.array([0.0, 1.0]), np.array([0.5, 0.5])
+    assert gaussian_average_closed_form(XOnlyPredictorClass(BooleanMapClass()),
+                                        (xs, ys)) is None
+    assert gaussian_average_closed_form(XOnlyPredictorClass(ScalingClass()),
+                                        (xs, ys)) == gaussian_average_closed_form(
+                                            ScalingClass(), xs)
 
 
 def test_comparison_inequality_rademacher_vs_gaussian():

@@ -1,5 +1,6 @@
 """Hypothesis classes: evaluation, sub-oracles, and batch sup oracles."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modalgap.analysis import _representation_samples
 from modalgap.core import (ABSOLUTE, CLIPPED_ABS, Block, DegenerateDataError,
-                           DomainError, SingularityError,
+                           DomainError, SeedSpec, SingularityError,
                            UnsupportedClassError, loss_eval)
 from modalgap.hypotheses import (BooleanMapClass, ComposedSineClass,
                                  ScalingClass, ScalingConnection,
@@ -101,21 +103,35 @@ def test_sup_witness_scaling():
     assert oracle.batch(np.array([[2.0], [-2.0]])).tolist() == [2.0, 0.0]
 
 
+def witness_reference(indices, row):
+    """The per-draw witness value: sum the sigmas of each lattice index in
+    draw order, realize the sign pattern of the sums, and take sums . sin."""
+    unique = sorted(set(indices))
+    sums = np.zeros(len(unique))
+    np.add.at(sums, [unique.index(i) for i in indices], row)
+    signs = [1 if s >= 0 else -1 for s in sums]
+    cert = construct(signs, convention="sine-sign", indices=unique)
+    return float(np.dot(sums, np.array(cert.sine_values()))), sums, cert
+
+
 def test_sup_witness_composed_sine_lower_bound():
     # each value is sigma . sin on the certificate of sigma's sign pattern,
-    # which is a feasible member: the value is a certified lower bound
+    # which is a feasible member: the value is a certified lower bound.
+    # Repeated indices sum their sigmas first; groups of three or more are
+    # where another order of addition would show in the last bit.
     rng = np.random.default_rng(8)
-    for n in (2, 5, 9):
-        indices = list(range(1, n + 1))
-        sigma = rng.standard_normal((4, n))
-        values = ComposedSineClass().sup_oracle(indices).batch(sigma)
-        assert np.all(values >= 0.5 * np.abs(sigma).sum(axis=1))
-        for row, value in zip(sigma, values):
-            signs = [1 if s >= 0 else -1 for s in row]
-            cert = construct(signs, convention="sine-sign", indices=indices)
-            assert cert.verify()
-            assert 0.0 < cert.theta <= 1.0
-            assert float(np.dot(row, np.array(cert.sine_values()))) == value
+    for indices in ([1, 2], [1, 2, 3, 4, 5], list(range(1, 10)), [3, 1, 2],
+                    [2, 5, 2, 1], [4, 1, 4, 2, 4, 3, 1], [6, 6, 6, 6, 6],
+                    [1, 9, 9, 2, 9, 2, 5, 9, 1, 5, 5]):
+        for rows in (1, 3, 200):
+            sigma = rng.standard_normal((rows, len(indices)))
+            values = ComposedSineClass().sup_oracle(indices).batch(sigma)
+            for row, value in zip(sigma, values):
+                expected, sums, cert = witness_reference(indices, row)
+                assert cert.verify()
+                assert 0.0 < cert.theta <= 1.0
+                assert value == expected
+                assert value >= 0.5 * np.abs(sums).sum()
 
 
 def test_sup_witness_feasibility_vs_enumeration():
@@ -159,13 +175,52 @@ def test_sine_predictor_support_restricted_lipschitz():
         SineSingletonClass.lipschitz_on(0.0)
 
 
+def hyperplane_reference(cls, points, mode):
+    """The member-by-member value matrix: one HyperplanePredictor per
+    threshold cut or per certified sign pattern, scored point by point."""
+    n = len(points)
+    if mode == "collinear":
+        u = cls._collinear_direction(points)
+        spots = np.sort(points @ u)
+        cuts = np.concatenate([[spots[0] - 1.0], (spots[:-1] + spots[1:]) / 2.0,
+                               [spots[-1] + 1.0]])
+        members = [cls.member(u, c) for c in cuts]
+    else:
+        members = []
+        for pattern in itertools.product((-1.0, 1.0), repeat=n):
+            p = np.array(pattern)
+            v = np.linalg.lstsq(points, p / math.sqrt(n), rcond=None)[0]
+            margins = points @ v
+            assert np.all(np.sign(margins) == p)
+            assert np.min(np.abs(margins)) >= cls.epsilon
+            members.append(cls.member(v, 0.0))
+    return np.array([[m.value(p) for p in points] for m in members])
+
+
 def test_pattern_members_margin_certificate():
     cls = SmoothedHyperplaneClass(dim=4, epsilon=0.1)
     points = np.column_stack([np.array([0.3, -0.7, 0.2]), np.eye(3)])
-    members = cls.pattern_members(points)
-    assert members is not None and len(members) == 8
-    values = np.array([[m.value(p) for p in points] for m in members])
-    assert np.allclose(np.abs(values), 1.0)   # every pattern hit exactly
+    values = cls.sup_oracle(points, mode="patterns").values
+    # every pattern hit exactly, in the order of itertools.product
+    patterns = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
+    assert np.array_equal(values, patterns)
+    assert np.array_equal(values, hyperplane_reference(cls, points, "patterns"))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=st.one_of(st.tuples(st.just("patterns"), st.integers(1, 8)),
+                      st.tuples(st.just("collinear"), st.integers(1, 12))),
+       wide=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_hyperplane_oracle_matches_member_reference(case, wide, seed):
+    # the representation comparison's samples, with k = n or k = 16
+    mode, n = case
+    k = 16 if wide else n
+    collinear, adversarial = _representation_samples(n, k, SeedSpec(seed))
+    points = collinear if mode == "collinear" else adversarial
+    cls = SmoothedHyperplaneClass(1 + k, 1.0 / (10.0 * math.sqrt(k)))
+    oracle = cls.sup_oracle(points, mode=mode)
+    assert oracle.exact == (mode == "patterns")
+    assert np.array_equal(oracle.values, hyperplane_reference(cls, points, mode))
 
 
 def test_unsupported_oracles_raise():
