@@ -316,9 +316,11 @@ class _ShatterWitnessOracle(SupOracle):
         np.add.at(sums, (slice(None), self._slot), sigma)
         patterns, which = np.unique(np.where(sums >= 0, 1, -1), axis=0,
                                     return_inverse=True)
-        sines = np.array([shatter.construct(signs, convention="sine-sign",
-                                            indices=self.unique).sine_values()
-                          for signs in patterns])
+        # filled in place: a list of per-pattern rows would raise peak memory
+        sines = np.empty(patterns.shape)
+        for j, signs in enumerate(patterns):
+            sines[j] = shatter.construct(signs, convention="sine-sign",
+                                         indices=self.unique).sine_values()
         # one dot per row keeps the bits of the per-draw value
         return np.array([np.dot(row, sine) for row, sine
                          in zip(sums, sines[which.reshape(-1)])])
