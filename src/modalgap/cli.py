@@ -262,7 +262,15 @@ def _apply_config_defaults(argv):
     """--config JSON supplies defaults.  Its flags go between the subcommand
     and the command line's own flags; argparse keeps the last value given,
     so an explicit flag wins however it is spelled (--out=b, --sig).  The
-    path is given as --config PATH or --config=PATH."""
+    path is given as --config PATH or --config=PATH.  argparse reads a word
+    that starts with "-" as a flag, so --signs -+- becomes --signs=-+-."""
+    words = []
+    for arg in argv:
+        if words[-1:] == ["--signs"] and set(arg) <= set("+-"):
+            words[-1] = f"--signs={arg}"
+        else:
+            words.append(arg)
+    argv = words
     idx = next((i for i, arg in enumerate(argv)
                 if arg.partition("=")[0] == "--config"), None)
     if idx is None:

@@ -305,8 +305,9 @@ class _ShatterWitnessOracle(SupOracle):
     exact = False
 
     def __init__(self, indices):
-        self.unique, self._slot = np.unique([int(i) for i in indices],
-                                            return_inverse=True)
+        unique, self._slot = np.unique([int(i) for i in indices],
+                                       return_inverse=True)
+        self.unique = tuple(unique.tolist())
         self.size = len(self._slot)
 
     def batch(self, sigma):
@@ -318,9 +319,9 @@ class _ShatterWitnessOracle(SupOracle):
                                     return_inverse=True)
         # filled in place: a list of per-pattern rows would raise peak memory
         sines = np.empty(patterns.shape)
-        for j, signs in enumerate(patterns):
+        for j, signs in enumerate(patterns.tolist()):
             sines[j] = shatter.construct(signs, convention="sine-sign",
-                                         indices=self.unique).sine_values()
+                                         indices=self.unique).sines
         # one dot per row keeps the bits of the per-draw value
         return np.array([np.dot(row, sine) for row, sine
                          in zip(sums, sines[which.reshape(-1)])])

@@ -93,10 +93,10 @@ class SineInstance:
         return np.array([float(p) for p in self.support_points])
 
     def _scaled_y_ratio(self, index: int) -> tuple:
-        """(num, den) with num/den = 2*pi*y_index = 1/(c * a_index)."""
-        c = self.witness.c
+        """(num, den) with num/den = 2*pi*y_index = 1/(c * a_index), read
+        from the witness's integer 4c: 4 * 16^i / (4c * (16^i + 1))."""
         w = 16 ** index
-        return c.denominator * w, c.numerator * (w + 1)
+        return 4 * w, self.witness.c4 * (w + 1)
 
     @cached_property
     def _y_floats(self) -> np.ndarray:
@@ -109,7 +109,8 @@ class SineInstance:
     @cached_property
     def _z_floats(self) -> np.ndarray:
         if self.witness is not None:
-            return np.array([self.witness.entry_for(i).sine for i in self.support])
+            sines = dict(zip(self.witness.indices, self.witness.sines))
+            return np.array([sines[i] for i in self.support])
         return _sin(1.0 / self._y_floats)
 
     def _lattice_block(self, pos) -> Block:

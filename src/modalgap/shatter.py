@@ -3,22 +3,35 @@
 The lattice points x_i = 16^i / (16^i + 1) can be given any sign pattern by
 a member sin(1/(theta x)) of the composed sine family.  The witness is a
 rational number c built digit-by-digit in base 16; theta = 1/(2*pi*c).  All
-range reduction is done in exact integer arithmetic: 4c is an integer, so
-frac(c * a_i) = r / (4 * 16^i) with r = 4c * (16^i + 1) mod 4 * 16^i, and the
-window tests compare integers (c grows like 16^n and overflows both 64-bit
-integers and float64 very quickly, so these are Python ints).  The sine
-itself is only evaluated in floating point after the exact fractional part
-is known; an int-by-int true division is correctly rounded, so r / (4 * 16^i)
-is the same float as float(Fraction(r, 4 * 16^i)).
-ShatterCertificate.verify() re-checks every entry on Fractions and is the
-independent reference for the integer construction.
+range reduction is done in exact integer arithmetic (c grows like 16^n and
+overflows both 64-bit integers and float64 very quickly, so these are
+Python ints).
+
+With digits d_j = +-1, 4c = 2 + sum over covered j of (4 + d_j) * 16^j is
+an integer, and for w = 16^i, frac(c * a_i) = r_i / (4w) with
+r_i = 4c * (w + 1) mod 4w.  The residue needs neither that multiply nor
+that mod.  Digits above i are multiples of 16w and drop out; digit i adds
+d_i * w modulo 4w; and the prefix 4c_{<i} = 2 + sum_{j<i} (4 + d_j) * 16^j
+is 2 mod 4 and below 2 + 5 * (w - 16) / 15 < w / 3.  So
+r_i = (2 + d_i) * w + 4c_{<i}, which lies in [w, 4w) as it stands, and
+construct() accumulates 4c as that prefix sum.  The window tests compare
+integers.  The sine itself is only evaluated in floating point after the
+exact fractional part is known; an int-by-int true division is correctly
+rounded, so r / (4w) is the same float as float(Fraction(r, 4w)).
+
+A certificate stores integers and floats only: 4c, the residues and the
+sines.  Its Fraction views (c, and the per-index entries with their
+multipliers, fractional parts and windows) are built on first use, so a
+caller that reads only the sines, such as the Monte Carlo oracle, builds no
+Fraction.  ShatterCertificate.verify() re-checks every entry on Fractions
+and is the independent reference for the integer construction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -108,39 +121,46 @@ class ShatterCertificate:
     signs: tuple
     indices: tuple
     convention: str
-    c: Fraction
-    entries: tuple
+    c4: int                       # 4c, exact
+    residues: tuple               # r_i with frac(c * a_i) = r_i / (4 * 16^i)
+    sines: tuple                  # sin(2*pi*frac), float after exact reduction
 
     @property
     def n(self) -> int:
         return len(self.signs)
 
+    @cached_property
+    def c(self) -> Fraction:
+        return Fraction(self.c4, 4)
+
+    @cached_property
+    def entries(self) -> tuple:
+        """Exact per-index records, built from the stored integers."""
+        flip = 1 if self.convention == "interval" else -1
+        return tuple(
+            IndexCertificate(
+                index=i, multiplier=lattice_multiplier(i),
+                frac=Fraction(r, 4 * 16 ** i),
+                window=NEGATIVE_WINDOW if flip * s > 0 else POSITIVE_WINDOW,
+                sine=sine)
+            for i, s, r, sine in zip(self.indices, self.signs, self.residues,
+                                     self.sines))
+
     @property
     def theta(self) -> float:
         """theta = 1/(2*pi*c) as a float; underflows to 0.0 for huge c."""
-        return float(Fraction(1, 1) / self.c) / TWO_PI
+        return 4 / self.c4 / TWO_PI
 
     @property
     def scale(self) -> float:
         """b = 2*pi*c as a float; overflows to inf once c exceeds float range."""
         try:
-            return TWO_PI * float(self.c)
+            return TWO_PI * (self.c4 / 4)
         except OverflowError:
             return math.inf
 
-    def entry_for(self, index: int) -> IndexCertificate:
-        return self._by_index[index]
-
-    @property
-    def _by_index(self) -> dict:
-        cached = self.__dict__.get("_by_index_cache")
-        if cached is None:
-            cached = {e.index: e for e in self.entries}
-            self.__dict__["_by_index_cache"] = cached
-        return cached
-
     def sine_values(self) -> list:
-        return [e.sine for e in self.entries]
+        return list(self.sines)
 
     def verify(self) -> bool:
         """Re-check every window membership by exact rational comparison."""
@@ -159,54 +179,51 @@ def construct(signs: Sequence[int], convention: str = "sine-sign",
     signs: one of +1/-1 per covered index.  indices defaults to 1..n and may
     be any strictly increasing set of positive integers (sub-lattices keep
     the same digit argument, since higher digits drop out of the fractional
-    part and lower digits perturb it by at most 1/12 + 1/32 < 1/8).
+    part and lower digits perturb it by less than 1/12 < 1/8).
     """
-    signs = tuple(int(s) for s in signs)
+    signs = tuple(map(int, signs))
     if len(signs) < 1:
         raise ValueError("need at least one sign")
-    if any(s not in (-1, 1) for s in signs):
+    if not set(signs) <= {-1, 1}:
         raise ValueError("signs must be +1 or -1")
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
     if indices is None:
         indices = range(1, len(signs) + 1)
-    indices = tuple(int(i) for i in indices)
+    indices = tuple(map(int, indices))
     if len(indices) != len(signs):
         raise ValueError("indices and signs must have equal length")
-    if any(i < 1 for i in indices):
+    if min(indices) < 1:
         raise ValueError("lattice indices start at 1")
     if sorted(set(indices)) != list(indices):
         raise ValueError("indices must be strictly increasing and distinct")
 
-    # digit c_i = flip * s_i / 4, so 4c = 2 + sum (4 + flip * s_i) 16^i
+    # digit d_i = flip * s_i; c4 holds the prefix sum 4c_{<i} until the
+    # loop ends, and then 4c itself
     flip = 1 if convention == "interval" else -1
-    c4 = 2 + sum((4 + flip * s) * 16 ** i for i, s in zip(indices, signs))
-
-    entries = []
+    c4 = 2
+    residues = []
+    sines = []
     for i, s in zip(indices, signs):
-        r, d = _lattice_residue(c4, 4, i)
+        w = 16 ** i
+        d = 4 * w
+        digit = flip * s
+        r = (2 + digit) * w + c4
         # a positive digit targets NEGATIVE_WINDOW, a negative one
         # POSITIVE_WINDOW; both windows are in eighths, so 8r/d is compared
-        upper = flip * s > 0
-        lo, hi = (5, 7) if upper else (1, 3)
+        lo, hi = (5, 7) if digit > 0 else (1, 3)
         if not lo * d <= 8 * r <= hi * d:
             raise AssertionError("window membership failed; construction bug")
-        entries.append(IndexCertificate(
-            index=i, multiplier=lattice_multiplier(i), frac=Fraction(r, d),
-            window=NEGATIVE_WINDOW if upper else POSITIVE_WINDOW,
-            sine=math.sin(TWO_PI * (r / d))))
+        residues.append(r)
+        sines.append(math.sin(TWO_PI * (r / d)))
+        c4 += (4 + digit) * w
     return ShatterCertificate(signs=signs, indices=indices,
-                              convention=convention, c=Fraction(c4, 4),
-                              entries=tuple(entries))
+                              convention=convention, c4=c4,
+                              residues=tuple(residues), sines=tuple(sines))
 
 
 def _frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
-
-
-def _frac_parse(s: str) -> Fraction:
-    num, den = s.split("/")
-    return Fraction(int(num), int(den))
 
 
 def certificate_to_json(cert: ShatterCertificate) -> dict:
@@ -232,23 +249,17 @@ def certificate_to_json(cert: ShatterCertificate) -> dict:
 
 
 def certificate_from_json(data: dict) -> ShatterCertificate:
-    entries = tuple(
-        IndexCertificate(
-            index=e["index"],
-            multiplier=_frac_parse(e["multiplier"]),
-            frac=_frac_parse(e["frac"]),
-            window=(_frac_parse(e["window"][0]), _frac_parse(e["window"][1])),
-            sine=e["sine"],
-        )
-        for e in data["entries"]
-    )
-    return ShatterCertificate(
-        signs=tuple(data["signs"]),
-        indices=tuple(data["indices"]),
-        convention=data["convention"],
-        c=_frac_parse(data["c"]),
-        entries=entries,
-    )
+    """Rebuild the witness from its signs, convention and indices.  A
+    document whose c or entries differ from the rebuilt ones raises
+    ValueError, so an edited fraction or sine is never trusted."""
+    cert = construct(data["signs"], convention=data["convention"],
+                     indices=data["indices"])
+    rebuilt = certificate_to_json(cert)
+    for key in ("c", "entries"):
+        if data[key] != rebuilt[key]:
+            raise ValueError(f"certificate {key} differs from the witness "
+                             "rebuilt from its signs")
+    return cert
 
 
 def certificate_table_rows(cert: ShatterCertificate) -> list:

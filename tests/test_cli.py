@@ -16,7 +16,8 @@ from modalgap.erm import fit_unimodal
 from modalgap.hypotheses import SignCompleteClass
 from modalgap.instances import (instance_to_json, make_boolean,
                                 make_separable_from_fixed_points, make_sine,
-                                make_subspace, make_three_param)
+                                make_sine_shattered, make_subspace,
+                                make_three_param)
 
 
 def read(path: Path):
@@ -40,6 +41,15 @@ def test_shatter_sign_count_mismatch(tmp_path, capsys):
                  "--out", str(tmp_path / "x")])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_signs_starting_with_minus_need_no_equals(tmp_path):
+    spaced, equals = tmp_path / "spaced", tmp_path / "equals"
+    assert main(["shatter", "--signs", "-+-", "--out", str(spaced)]) == 0
+    assert main(["shatter", "--signs=-+-", "--out", str(equals)]) == 0
+    assert ((spaced / "certificate.json").read_bytes()
+            == (equals / "certificate.json").read_bytes())
+    assert read(spaced / "certificate.json")["signs"] == [-1, 1, -1]
 
 
 def test_gaussavg_command(tmp_path):
@@ -202,6 +212,9 @@ SUBSPACE_3 = instance_to_json(make_subspace([0.6, 0.0, 0.8], [0.1, 0.0, 0.2]))
 SEPARABLE = instance_to_json(make_separable_from_fixed_points([0, 0.5, 1]))
 THREE_PARAM = instance_to_json(make_three_param())
 BOOLEAN_1 = instance_to_json(make_boolean([(0, 1)]))
+TAMPERED_WITNESS = instance_to_json(make_sine_shattered([1, -1, 1, 1]))
+TAMPERED_WITNESS["witness"]["entries"][1]["sine"] = 5.0
+TAMPERED_WITNESS["witness"]["entries"][2]["frac"] = "1/2"
 SUBSPACE_OTHER_RULE = {"family": "subspace", "v": [0.6], "y0": [0.1],
                        "label_rule": {"rule": "hyperplane", "wx": 1.0,
                                       "wy": [0.5], "offset": 0.0}}
@@ -231,6 +244,7 @@ SUBSPACE_OTHER_RULE = {"family": "subspace", "v": [0.6], "y0": [0.1],
     (BOOLEAN_1, ["gap", "--resamples", "2", "--draws", "100"]),
     (BOOLEAN_1, ["fit-unimodal", "--n", "6", "--grid", "3000"]),
     (SUBSPACE_OTHER_RULE, ["fit-unimodal", "--cls", "scaling"]),
+    (TAMPERED_WITNESS, ["fit-unimodal"]),
 ], ids=["unknown-family", "no-family", "not-an-object", "fit-unimodal-singleton",
         "gap-singleton",
         "gaussavg-no-indices", "gaussavg-no-points", "necessity-no-trials",
@@ -239,7 +253,7 @@ SUBSPACE_OTHER_RULE = {"family": "subspace", "v": [0.6], "y0": [0.1],
         "realizability-subspace", "realizability-boolean-subspace",
         "fit-multimodal-subspace", "bound-subspace", "bound-separable",
         "bound-three-param", "gap-boolean", "fit-unimodal-composed-sine-at-zero",
-        "subspace-other-label-rule"])
+        "subspace-other-label-rule", "fit-unimodal-tampered-witness"])
 def test_lab_errors_exit_one(tmp_path, capsys, instance, argv):
     if instance is not None:
         path = tmp_path / "instance.json"

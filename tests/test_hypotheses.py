@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modalgap import shatter
 from modalgap.analysis import _representation_samples
 from modalgap.core import (ABSOLUTE, CLIPPED_ABS, Block, DegenerateDataError,
                            DomainError, SeedSpec, SingularityError,
@@ -132,6 +133,16 @@ def test_sup_witness_composed_sine_lower_bound():
                 assert 0.0 < cert.theta <= 1.0
                 assert value == expected
                 assert value >= 0.5 * np.abs(sums).sum()
+
+
+def test_sup_witness_builds_no_fraction(monkeypatch):
+    # the oracle reads only the stored sines; the exact views stay unbuilt
+    def refuse(*args, **kwargs):
+        raise AssertionError("the witness oracle built an exact view")
+    monkeypatch.setattr(shatter, "Fraction", refuse)
+    monkeypatch.setattr(shatter, "IndexCertificate", refuse)
+    sigma = np.random.default_rng(10).standard_normal((50, 4))
+    assert ComposedSineClass().sup_oracle([1, 2, 3, 2]).batch(sigma).shape == (50,)
 
 
 def test_sup_witness_feasibility_vs_enumeration():

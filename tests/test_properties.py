@@ -31,7 +31,8 @@ from modalgap.instances import (THREE_PARAM_RULES, instance_from_json,
                                 make_separable_from_fixed_points, make_sine,
                                 make_sine_shattered, make_subspace,
                                 make_three_param)
-from modalgap.shatter import (CONVENTIONS, TWO_PI, construct, frac_exact,
+from modalgap.shatter import (CONVENTIONS, TWO_PI, certificate_from_json,
+                              certificate_to_json, construct, frac_exact,
                               lattice_multiplier, lattice_sine)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -162,6 +163,11 @@ def test_integer_certificate_matches_fraction_reduction(indices, convention,
         assert entry.in_window
         assert (entry.sine > 0) == (s == -flip)
         assert lattice_sine(c, entry.index) == entry.sine
+    # the stored floats, the integer 4c and the JSON round trip
+    assert [x.hex() for x in cert.sine_values()] == \
+        [e.sine.hex() for e in cert.entries]
+    assert cert.c == Fraction(cert.c4, 4)
+    assert certificate_from_json(certificate_to_json(cert)) == cert
 
 
 _RATIONAL = st.fractions(min_value=0, max_denominator=10**30)

@@ -150,8 +150,18 @@ def test_json_round_trip():
     assert back.c == cert.c
     assert back.signs == cert.signs
     assert [e.frac for e in back.entries] == [e.frac for e in cert.entries]
+    assert back == cert
     rows = certificate_table_rows(cert)
     assert len(rows) == 3 and rows[0]["in_window"]
+    # the file is rebuilt from its signs; an edited c, frac or sine is refused
+    for field, value in (("c", "43/2"), ("frac", "1/2"), ("sine", 5.0)):
+        tampered = certificate_to_json(cert)
+        if field == "c":
+            tampered["c"] = value
+        else:
+            tampered["entries"][1][field] = value
+        with pytest.raises(ValueError):
+            certificate_from_json(tampered)
 
 
 def test_bad_inputs():
