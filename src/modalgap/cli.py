@@ -263,11 +263,13 @@ def _apply_config_defaults(argv):
     and the command line's own flags; argparse keeps the last value given,
     so an explicit flag wins however it is spelled (--out=b, --sig).  The
     path is given as --config PATH or --config=PATH.  argparse reads a word
-    that starts with "-" as a flag, so --signs -+- becomes --signs=-+-."""
+    that starts with "-" as a flag, so --signs -+- (or --sig -+-) becomes
+    --signs=-+-."""
     words = []
     for arg in argv:
-        if words[-1:] == ["--signs"] and set(arg) <= set("+-"):
-            words[-1] = f"--signs={arg}"
+        flag = words[-1] if words else ""
+        if len(flag) > 3 and "--signs".startswith(flag) and set(arg) <= set("+-"):
+            words[-1] = f"{flag}={arg}"
         else:
             words.append(arg)
     argv = words

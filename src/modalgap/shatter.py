@@ -63,13 +63,6 @@ def lattice_multiplier(index: int) -> Fraction:
     return Fraction(w + 1, w)
 
 
-def _lattice_residue(num: int, den: int, index: int) -> tuple:
-    """(r, d) with frac((num/den) * a_index) = r/d and 0 <= r < d."""
-    w = 16 ** index
-    d = den * w
-    return num * (w + 1) % d, d
-
-
 def lattice_sine(c: Fraction, index: int) -> float:
     """sin(2*pi*frac(c * a_index)) for an exact nonnegative c, reduced in
     integers; equal to math.sin(TWO_PI * float(frac_exact(c, a_index)))."""
@@ -78,8 +71,9 @@ def lattice_sine(c: Fraction, index: int) -> float:
         raise ValueError("lattice_sine requires a nonnegative c")
     if index < 1:
         raise ValueError("lattice indices start at 1")
-    r, d = _lattice_residue(c.numerator, c.denominator, index)
-    return math.sin(TWO_PI * (r / d))
+    w = 16 ** index
+    d = c.denominator * w
+    return math.sin(TWO_PI * ((c.numerator * (w + 1) % d) / d))
 
 
 def lattice_point(index: int) -> Fraction:

@@ -43,9 +43,10 @@ def test_shatter_sign_count_mismatch(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_signs_starting_with_minus_need_no_equals(tmp_path):
+@pytest.mark.parametrize("flag", ["--signs", "--sig"])
+def test_signs_starting_with_minus_need_no_equals(tmp_path, flag):
     spaced, equals = tmp_path / "spaced", tmp_path / "equals"
-    assert main(["shatter", "--signs", "-+-", "--out", str(spaced)]) == 0
+    assert main(["shatter", flag, "-+-", "--out", str(spaced)]) == 0
     assert main(["shatter", "--signs=-+-", "--out", str(equals)]) == 0
     assert ((spaced / "certificate.json").read_bytes()
             == (equals / "certificate.json").read_bytes())
