@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import (CLIPPED_ABS, ABSOLUTE, DomainError, Loss, MultiSample,
                    SeedSpec, SingularityError, draw_labeled, draw_unlabeled,
-                   loss_eval, mean_loss)
+                   exact_mean, loss_values)
 from .complexity import ComplexityEstimate, gaussian_average
 from .erm import UnimodalSolution, fit_multimodal, fit_unimodal
 from .hypotheses import (ComposedSineClass, ScalingClass, SinePredictor,
@@ -56,28 +56,46 @@ class RiskReport:
                 "mc_stderr": self.mc_stderr}
 
 
-def _composed_prediction(connection, predictor, instance, block, i) -> float:
-    """Prediction of predictor(x, g(x)) at row i of a block, routed through
-    exact range reduction when both sides carry exact parameters."""
+def _at_row(err, block, i) -> SingularityError:
+    return SingularityError(f"{err} at support point x={block.x[i, 0]!r}")
+
+
+def _predictions(solution, t: int, instance, block):
+    """Predictions of a solution at every row of a block, each with the bits
+    of its one-row evaluation.  A pole raises SingularityError naming the
+    first row that hits it.
+
+    A unimodal member maps all rows in one call.  A composed solution goes
+    through exact range reduction when both sides carry exact parameters,
+    decided once per block, and row by row otherwise.
+    """
+    if isinstance(solution, UnimodalSolution):
+        member = solution.member
+        try:
+            return member.map(block.x[:, 0])
+        except SingularityError as err:
+            for i, x in enumerate(block.x[:, 0].tolist()):
+                try:
+                    member.map(x)
+                except SingularityError as first:
+                    raise _at_row(first, block, i) from first
+            raise
+    predictors = solution.predictors
+    predictor = predictors[t] if t < len(predictors) else predictors[0]
+    connection = solution.connection
     if (isinstance(instance, SineInstance) and instance.witness is not None
             and isinstance(predictor, SinePredictor)
             and getattr(connection, "c_exact", None) is not None
             and block.support_index is not None):
-        index = instance.support[block.support_index[i]]
-        return lattice_sine(connection.c_exact, index)
-    x = block.x[i]
-    return predictor.predict(x, np.atleast_1d(connection.map(x[0])))
-
-
-def _solution_prediction(solution, t: int, instance, block, i) -> float:
-    try:
-        if isinstance(solution, UnimodalSolution):
-            return float(np.atleast_1d(solution.member.map(block.x[i, 0]))[0])
-        predictors = solution.predictors
-        member = predictors[t] if t < len(predictors) else predictors[0]
-        return _composed_prediction(solution.connection, member, instance, block, i)
-    except SingularityError as err:
-        raise SingularityError(f"{err} at support point x={block.x[i, 0]!r}") from err
+        return [lattice_sine(connection.c_exact, instance.support[p])
+                for p in block.support_index.tolist()]
+    preds = []
+    for i, x in enumerate(block.x):
+        try:
+            preds.append(predictor.predict(x, np.atleast_1d(connection.map(x[0]))))
+        except SingularityError as err:
+            raise _at_row(err, block, i) from err
+    return preds
 
 
 def excess_risk(solution, instance, comparator_cls, loss: Loss = CLIPPED_ABS,
@@ -106,14 +124,13 @@ def excess_risk(solution, instance, comparator_cls, loss: Loss = CLIPPED_ABS,
         else:
             block = instance.draw_labeled_task(
                 seed.child("risk-mc", t).generator(), t, mc_points)
-        preds = [_solution_prediction(solution, t, instance, block, i)
-                 for i in range(len(block))]
-        risk = mean_loss(loss, preds, block.z)
+        losses = loss_values(loss, _predictions(solution, t, instance, block),
+                             block.z)
+        risk = exact_mean(losses)
         exact_risks.append(risk)
         exact_comps.append(comparator_cls.comparator_risk(instance, t, loss, block))
         task_risks.append(float(risk))
         if mode == "monte-carlo":
-            losses = [loss_eval(loss, p, z) for p, z in zip(preds, block.z.tolist())]
             spreads.append(np.var(losses, ddof=1) if len(losses) > 1 else 0.0)
 
     exact_risk = sum(exact_risks) / T

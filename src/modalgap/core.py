@@ -76,11 +76,52 @@ def loss_eval(loss: Loss, prediction: float, z: float) -> float:
     return d
 
 
+def loss_values(loss: Loss, preds, zs) -> np.ndarray:
+    """loss_eval at every (prediction, label) pair, as one float array with
+    the same bits."""
+    preds = np.asarray(preds, dtype=float)
+    zs = np.asarray(zs, dtype=float)
+    if not (np.all(np.isfinite(preds)) and np.all(np.isfinite(zs))):
+        raise InvalidInputError("loss_eval needs finite prediction and label")
+    d = np.abs(preds - zs)
+    if loss.kind == "clipped-absolute":
+        np.minimum(d, 1.0, out=d)
+    return d
+
+
+def exact_mean(values: np.ndarray) -> Fraction:
+    """The exact rational mean of finite floats, equal to
+    sum(map(Fraction, values)) / len(values), with one Fraction built.
+
+    Each value is an integer mantissa m < 2**53 times 2**(e - 53).  The
+    mantissas are added per exponent e in two 26-bit halves, so every int64
+    sum stays exact for up to 2**36 values; Python ints shift the sums
+    onto the smallest exponent.
+    """
+    if not np.all(np.isfinite(values)):
+        raise OverflowError("cannot convert a non-finite float to a ratio")
+    frac, exps = np.frexp(values)
+    mantissas = np.ldexp(frac, 53).astype(np.int64)
+    distinct, slot = np.unique(exps, return_inverse=True)
+    halves = np.zeros((len(distinct), 2), dtype=np.int64)
+    np.add.at(halves, (slot, 0), mantissas >> 26)
+    np.add.at(halves, (slot, 1), mantissas & ((1 << 26) - 1))
+    lowest = int(distinct[0]) if len(distinct) else 0
+    total = sum(((high << 26) + rest) << (e - lowest)
+                for (high, rest), e in zip(halves.tolist(), distinct.tolist()))
+    # the sum of the values is total * 2**(lowest - 53)
+    shift = lowest - 53
+    if shift >= 0:
+        return Fraction(total << shift, len(values))
+    return Fraction(total, len(values) << -shift)
+
+
 def mean_loss(loss: Loss, preds, zs) -> Fraction:
     """Exact mean of the pointwise losses, as a rational: the risk under the
-    uniform law on the rows they were evaluated at."""
-    losses = [loss_eval(loss, pred, z) for pred, z in zip(preds, zs.tolist())]
-    return sum(map(Fraction, losses), Fraction(0)) / len(losses)
+    uniform law on the rows they were evaluated at.  It equals the sum of
+    one Fraction per loss_eval value over their count, and is built from
+    integer sums (exact_mean) with one Fraction in all."""
+    return exact_mean(loss_values(loss, preds, zs))
 
 
 _SEED_MASK = (1 << 64) - 1

@@ -219,22 +219,21 @@ class _ScalingOracle(SupOracle):
         self.signed = signed
 
     def batch(self, sigma):
-        s = sigma @ self.x
+        # numpy's own sum, not a BLAS product: the order of addition, and so
+        # the last bits, must not depend on the CPU's BLAS kernel
+        s = (sigma * self.x).sum(axis=1)
         return np.abs(s) if self.signed else np.maximum(s, 0.0)
 
 
 class _SingletonOracle(SupOracle):
-    """sup over one member is linear in sigma, hence exactly zero-mean."""
+    """sup over one member is linear in sigma, hence exactly zero-mean; the
+    estimators return 0 before they draw, so it has no batch."""
 
     zero_mean = True
+    exact = True
 
-    def __init__(self, values: np.ndarray):
-        self.values = np.asarray(values, dtype=float).reshape(-1)
-        self.size = len(self.values)
-        self.exact = True
-
-    def batch(self, sigma):
-        return sigma @ self.values
+    def __init__(self, size: int):
+        self.size = size
 
 
 class _BooleanMapOracle(SupOracle):
@@ -350,9 +349,11 @@ class UnimodalSolution:
 def _grid_erm(objective, grid_points: int, refine: bool):
     """Dense grid over (0, 1] plus golden-section refinement of the best cell.
 
-    The objective may be violently oscillatory, so the recorded resolution
-    is part of the result; refinement only replaces the grid optimum when it
-    actually improves it.
+    objective maps a 1-D array of thetas to one value per theta; the grid
+    hands it blocks of 8192 thetas and the refinement one theta at a time.
+    The first minimum of the grid wins.  The objective may be violently
+    oscillatory, so the recorded resolution is part of the result;
+    refinement only replaces the grid optimum when it actually improves it.
     """
     thetas = np.arange(1, grid_points + 1, dtype=float) / grid_points
     best_val = math.inf
@@ -387,12 +388,41 @@ def _clipped_mean_losses(preds, zs, loss: Loss):
     return d.mean(axis=-1)
 
 
-def _grid_fit(member_at, values, xs, zs, loss, grid_points, refine):
-    """Grid ERM of the one-parameter family theta -> member_at(theta), whose
-    predictions at the rows xs are values(outer(thetas, xs))."""
+def _grid_objective(values, xs, zs, loss):
+    """The mean loss over the rows (xs, zs) of the members whose predictions
+    are values(theta * x), elementwise, as a map from a 1-D array of thetas
+    to one mean per theta.
+
+    values runs once per distinct x, on a row that runs along the thetas,
+    and |prediction - z| and the clip run on those long rows.  The mean is
+    numpy's own, over a C-contiguous (thetas, rows) array, so every value
+    has the bits of the one-row-per-theta form
+    _clipped_mean_losses(values(np.outer(thetas, xs)), zs, loss).  Without
+    repeated x there is nothing to share, and the rows are xs as given.
+    """
+    distinct, slot = np.unique(xs, return_inverse=True)
+    if len(distinct) == len(xs):
+        distinct, slot = xs, None
+    labels = zs[:, None]
+
     def objective(thetas):
-        return _clipped_mean_losses(values(np.outer(thetas, xs)), zs, loss)
-    theta, val = _grid_erm(objective, grid_points, refine)
+        d = values(np.multiply.outer(distinct, thetas))
+        if slot is not None:
+            d = d[slot]
+        d -= labels
+        np.abs(d, out=d)
+        if loss.kind == "clipped-absolute":
+            np.minimum(d, 1.0, out=d)
+        return np.ascontiguousarray(d.T).mean(axis=-1)
+
+    return objective
+
+
+def _grid_fit(member_at, values, xs, zs, loss, grid_points, refine):
+    """Grid ERM of the one-parameter family theta -> member_at(theta) over
+    the _grid_objective of its value map."""
+    theta, val = _grid_erm(_grid_objective(values, xs, zs, loss), grid_points,
+                           refine)
     return UnimodalSolution(member=member_at(theta), objective=val,
                             path="grid-upper-bound",
                             grid_resolution=1.0 / grid_points)
@@ -619,8 +649,10 @@ class SineSingletonClass:
 
     def sup_oracle(self, sample):
         xs, ys = sample
-        values = np.array([SinePredictor().predict(x, y) for x, y in zip(xs, ys)])
-        return _SingletonOracle(values)
+        ys = np.asarray(ys, dtype=float)
+        if np.any(ys.reshape(len(ys), -1)[:, 0] == 0.0):
+            raise SingularityError("sin(1/y) undefined at y = 0")
+        return _SingletonOracle(len(xs))
 
     def closed_form_gaussian(self, sample):
         return 0.0

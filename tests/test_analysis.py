@@ -6,8 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from modalgap.core import (ABSOLUTE, CLIPPED_ABS, DomainError, SeedSpec,
-                           draw_labeled, draw_unlabeled)
+from modalgap.core import (ABSOLUTE, CLIPPED_ABS, Block, DomainError, SeedSpec,
+                           SingularityError, draw_labeled, draw_unlabeled)
 from modalgap.analysis import (boolean_count_formula,
                                boolean_population_excess,
                                boolean_realizability_exact,
@@ -18,11 +18,13 @@ from modalgap.analysis import (boolean_count_formula,
                                representation_comparison, risk_bound,
                                separability_check,
                                unimodal_failure_experiment)
-from modalgap.erm import fit_multimodal, fit_unimodal
+from modalgap.erm import (MultimodalSolution, UnimodalSolution, fit_multimodal,
+                          fit_unimodal)
 from modalgap.hypotheses import (BooleanLookupClass, BooleanMapClass,
                                  ComposedSineClass, ScalingClass,
-                                 SignCompleteClass, SineSingletonClass,
-                                 XOnlyPredictorClass)
+                                 ScalingConnection, SignCompleteClass,
+                                 SineComposition, SinePredictor,
+                                 SineSingletonClass, XOnlyPredictorClass)
 from modalgap.instances import (make_boolean, make_separable_from_fixed_points,
                                 make_sine, make_sine_shattered, make_sine_subset)
 
@@ -102,6 +104,37 @@ def test_monte_carlo_mode_close_to_exact():
                      mc_points=4000, seed=SEED)
     assert mc.mode == "monte-carlo" and mc.mc_points == 4000
     assert abs(mc.risk - exact.risk) <= max(4.0 * mc.mc_stderr, 1e-9)
+
+
+class _FixedSupport:
+    """A one-task instance whose finite support is the given block."""
+
+    task_count = 1
+
+    def __init__(self, block):
+        self.block = block
+
+    def support_enumeration(self, t):
+        return self.block
+
+
+@pytest.mark.parametrize("route", ["unimodal", "composed"])
+def test_excess_risk_names_the_first_point_at_a_pole(route):
+    # rows 1 and 3 sit at the pole; -0.0 and 0.0 tell them apart
+    block = Block(x=[0.5, -0.0, 0.25, 0.0, 1.0], y=[1.0] * 5, z=[0.0] * 5)
+    if route == "unimodal":
+        solution = UnimodalSolution(member=SineComposition(0.5), objective=0.0,
+                                    path="grid-upper-bound")
+        cause = "composed sine undefined at theta*x = 0"
+    else:
+        solution = MultimodalSolution(connection=ScalingConnection(0.5),
+                                      predictors=(SinePredictor(),),
+                                      stage1_objective=0.0, stage2_objective=0.0)
+        cause = "sin(1/y) undefined at y = 0"
+    with pytest.raises(SingularityError) as raised:
+        excess_risk(solution, _FixedSupport(block), SineSingletonClass())
+    assert str(raised.value) == f"{cause} at support point x={block.x[1, 0]!r}"
+    assert "-0.0" in str(raised.value)
 
 
 def test_risk_bound_frozen_arithmetic():

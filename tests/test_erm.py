@@ -13,8 +13,10 @@ from modalgap.erm import (fit_joint, fit_multimodal, fit_unimodal,
                           predict_unimodal)
 from modalgap.hypotheses import (BooleanLookupClass, BooleanMapClass,
                                  ComposedSineClass, ScalingClass,
-                                 SineSingletonClass)
+                                 SineSingletonClass, _clipped_mean_losses,
+                                 _grid_erm, _grid_objective)
 from modalgap.instances import make_boolean, make_sine, make_sine_shattered
+from modalgap.shatter import lattice_point
 
 SEED = SeedSpec(99)
 
@@ -104,6 +106,73 @@ def test_unimodal_grid_fit_records_resolution():
     preds = np.sin(1.0 / np.outer(thetas, xs))
     objs = np.minimum(np.abs(preds - zs), 1.0).mean(axis=1)
     assert sol.objective <= objs.min() + 1.0 / 5000
+
+
+# the value maps of the two grid classes, as their fit_x hands them over
+GRID_VALUES = {"sine": lambda p: np.sin(1.0 / p), "scaling": lambda p: p}
+
+
+def _reference_objective(values, xs, zs, loss):
+    """The one-row-per-theta form the grid objective must match bit for bit."""
+    return lambda thetas: _clipped_mean_losses(values(np.outer(thetas, xs)), zs,
+                                               loss)
+
+
+def _grid_rows(n, kind, rng):
+    """n sample x values with repeats: lattice points, indices >= 14 of which
+    all round to 1.0, and for the scaling class both signs of zero."""
+    if kind == "sine":
+        indices = rng.integers(1, 65, size=n)
+        return np.array([float(lattice_point(int(i))) for i in indices])
+    pool = np.array([0.0, -0.0, 0.25, 1.0, float(lattice_point(20)),
+                     float(lattice_point(3))])
+    xs = rng.choice(pool, size=n)
+    xs[rng.random(n) < 0.3] = rng.uniform(-1.0, 1.0)
+    xs[:2] = (0.0, -0.0)[:n]
+    return xs
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 64, 129])
+@pytest.mark.parametrize("kind", sorted(GRID_VALUES))
+@pytest.mark.parametrize("loss", [CLIPPED_ABS, ABSOLUTE], ids=lambda l: l.kind)
+def test_grid_objective_matches_one_row_per_theta_bitwise(n, kind, loss):
+    rng = np.random.default_rng(1000 * n + len(kind))
+    thetas = np.arange(1, 100_001, dtype=float) / 100_000
+    # the first grid block, the last partial one (100,000 mod 8192 = 1,696
+    # rows) and a one-theta refinement step
+    blocks = [thetas[:8192], thetas[98_304:], np.array([0.123456789])]
+    assert len(blocks[1]) == 1696
+    for xs in (_grid_rows(n, kind, rng), rng.uniform(0.01, 1.0, size=n)):
+        zs = rng.uniform(-1.5, 1.5, size=n)
+        new = _grid_objective(GRID_VALUES[kind], xs, zs, loss)
+        old = _reference_objective(GRID_VALUES[kind], xs, zs, loss)
+        for block in blocks:
+            got, want = new(block), old(block)
+            assert got.shape == want.shape == block.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def test_unimodal_fit_matches_one_row_per_theta_on_criterion_5_seeds():
+    """fit_unimodal's theta and objective, refinement included, against the
+    grid search over the one-row-per-theta objective, on the first trials
+    of criterion 5 (n = 4 draws from a 64-point shattered lattice)."""
+    seed = SeedSpec(505)
+    repeated = 0
+    for trial in range(12):
+        root = seed.child("trial", trial)
+        signs = root.child("signs").generator().integers(0, 2, size=64) * 2 - 1
+        instance = make_sine_shattered(signs, indices=range(1, 65))
+        block = draw_labeled(instance, 1, 4, root).tasks[0]
+        xs, zs = block.x[:, 0].copy(), block.z.copy()
+        repeated += len(np.unique(xs)) < len(xs)
+        sol = fit_unimodal(np.column_stack((xs, zs)), ComposedSineClass(),
+                           CLIPPED_ABS)
+        theta, objective = _grid_erm(
+            _reference_objective(GRID_VALUES["sine"], xs, zs, CLIPPED_ABS),
+            100_000, True)
+        assert sol.member.theta.hex() == theta.hex()
+        assert sol.objective.hex() == objective.hex()
+    assert repeated > 0      # the shared-row path was exercised
 
 
 def test_unimodal_oscillatory_fit_small_training_loss():

@@ -5,14 +5,23 @@ values pin the bytes across changes to the code.  They were recorded with
 numpy 2.4 and glibc's libm on x86-64 Linux, which fix the bits of every
 draw and of every sin and interp evaluation; on another numpy or libm the
 hashes may legitimately differ.  Config files are not hashed: they record
-the output directory.
+the output directory.  No hashed output may depend on the BLAS kernel that
+OpenBLAS picks for the CPU: a child process reruns the golden runs under a
+second kernel.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
+
+import modalgap
 
 from modalgap.cli import build_parser, main
 from modalgap.core import SeedSpec, draw_labeled, draw_unlabeled, sample_to_csv
@@ -245,7 +254,7 @@ RESULT_HASHES = {
     },
     "gap-scaling": {
         "gap.json":
-            "30b4ff6214b5f59dcc8c9c17ac7c57eb9e3641d49eb1eb5eb0a0952b8e2b7eba",
+            "1e19e0dbeb6927dc519f2ae25a88c077e26b626cb7306b14174c42e757767366",
     },
     "gap-sign-complete": {
         "gap.json":
@@ -314,3 +323,25 @@ def test_result_file_hashes(tmp_path, run):
     written = {p.name: sha(p.read_bytes()) for p in sorted(out.iterdir())
                if p.name != "config.json"}
     assert written == RESULT_HASHES[run]
+
+
+def _numpy_blas_is_openblas() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+@pytest.mark.skipif(not _numpy_blas_is_openblas(),
+                    reason="numpy's BLAS is not OpenBLAS")
+def test_golden_runs_hold_under_a_second_blas_kernel():
+    """The sample and result hashes, rerun with OpenBLAS forced onto its
+    Prescott (SSE3) kernels; the variable acts on the child process only."""
+    src = str(Path(modalgap.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    module = Path(__file__).resolve()
+    runs = [f"{module}::test_sample_csv_hash", f"{module}::test_result_file_hashes"]
+    child = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *runs],
+        env=env, capture_output=True, text=True, cwd=module.parent)
+    assert child.returncode == 0, child.stdout[-3000:] + child.stderr[-3000:]

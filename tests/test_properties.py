@@ -7,7 +7,8 @@ replaces, also on samples with repeated points, and the population risk
 written out here.  Shattering certificates, built in integers, are checked
 against Fraction range reduction written out here.  Samples survive the CSV
 round trip with their hash and arrays, instances survive the JSON round
-trip with their draws, and blocks reject malformed columns.
+trip with their draws, and blocks reject malformed columns.  The exact mean
+loss is checked against the sum of one Fraction per loss.
 """
 
 import itertools
@@ -23,8 +24,8 @@ from modalgap.analysis import best_unimodal_population_risk
 from modalgap.complexity import gaussian_average, gaussian_average_closed_form
 from modalgap.core import (ABSOLUTE, CLIPPED_ABS, Block, DomainError, Loss,
                            InvalidInputError, SeedSpec, draw_labeled,
-                           draw_unlabeled, loss_eval, sample_from_csv,
-                           sample_hash, sample_to_csv)
+                           draw_unlabeled, loss_eval, mean_loss,
+                           sample_from_csv, sample_hash, sample_to_csv)
 from modalgap.hypotheses import BooleanMapClass, ScalingClass, SignCompleteClass
 from modalgap.instances import (THREE_PARAM_RULES, instance_from_json,
                                 instance_to_json, make_boolean,
@@ -338,3 +339,60 @@ def test_block_rejects_ragged_columns(x, extra, where):
     columns[where] = columns[where] + columns[where][:1] * extra
     with pytest.raises(DomainError):
         Block(**columns)
+
+
+def _fraction_mean(loss, preds, zs):
+    """The reference: one Fraction per loss, added in order."""
+    losses = [loss_eval(loss, p, z) for p, z in zip(preds, zs)]
+    return sum(map(Fraction, losses), Fraction(0)) / len(losses)
+
+
+_SMALLEST_NORMAL = 2.2250738585072014e-308
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, 3 * 5e-324, _SMALLEST_NORMAL / 2,
+                _SMALLEST_NORMAL, 0.5, math.nextafter(1.0, 0.0), 1.0,
+                math.nextafter(1.0, 2.0), 2.0, 1e300]
+# zeros, subnormals, both sides of the clip at 1.0, and mixed exponents
+_LOSS_INPUT = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                        st.floats(-3.0, 3.0, allow_subnormal=True),
+                        st.floats(-1e-300, 1e-300, allow_subnormal=True),
+                        st.floats(-1e300, 1e300))
+
+
+@PROPERTY
+@given(pairs=st.lists(st.tuples(_LOSS_INPUT, _LOSS_INPUT), min_size=1,
+                      max_size=40),
+       kind=st.sampled_from(["clipped-absolute", "absolute"]))
+def test_mean_loss_equals_the_fraction_sum(pairs, kind):
+    preds, zs = (list(column) for column in zip(*pairs))
+    loss = Loss(kind)
+    assert mean_loss(loss, preds, np.array(zs)) == _fraction_mean(loss, preds, zs)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(n=st.integers(2048, 4096), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["clipped-absolute", "absolute"]))
+def test_mean_loss_is_exact_where_an_int64_mantissa_sum_overflows(n, seed, kind):
+    # every loss in [0.5, 1) shares one exponent, and n mantissas of 53 bits
+    # add up past 2**63 once n >= 1024
+    rng = np.random.default_rng(seed)
+    preds = 1.0 - rng.uniform(0.0, 2.0 ** -20, size=n)
+    preds[: n // 2] = math.nextafter(1.0, 0.0)
+    zs = np.zeros(n)
+    loss = Loss(kind)
+    assert len({math.frexp(p)[1] for p in preds.tolist()}) == 1
+    assert mean_loss(loss, preds, zs) == _fraction_mean(loss, preds.tolist(),
+                                                        zs.tolist())
+
+
+@PROPERTY
+@given(pairs=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+                      min_size=1, max_size=8),
+       bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+       side=st.sampled_from(["prediction", "label"]), data=st.data())
+def test_mean_loss_rejects_non_finite_inputs(pairs, bad, side, data):
+    preds, zs = (list(column) for column in zip(*pairs))
+    column = preds if side == "prediction" else zs
+    column[data.draw(st.integers(0, len(column) - 1))] = bad
+    with pytest.raises(InvalidInputError,
+                       match="^loss_eval needs finite prediction and label$"):
+        mean_loss(CLIPPED_ABS, preds, np.array(zs))
