@@ -98,17 +98,19 @@ def exact_mean(values: np.ndarray) -> Fraction:
     sum stays exact for up to 2**36 values; Python ints shift the sums
     onto the smallest exponent.
     """
+    if len(values) == 0:
+        raise ZeroDivisionError("the mean of no values")
     if not np.all(np.isfinite(values)):
         raise OverflowError("cannot convert a non-finite float to a ratio")
     frac, exps = np.frexp(values)
     mantissas = np.ldexp(frac, 53).astype(np.int64)
-    distinct, slot = np.unique(exps, return_inverse=True)
-    halves = np.zeros((len(distinct), 2), dtype=np.int64)
-    np.add.at(halves, (slot, 0), mantissas >> 26)
-    np.add.at(halves, (slot, 1), mantissas & ((1 << 26) - 1))
-    lowest = int(distinct[0]) if len(distinct) else 0
-    total = sum(((high << 26) + rest) << (e - lowest)
-                for (high, rest), e in zip(halves.tolist(), distinct.tolist()))
+    lowest = int(exps.min())
+    slot = exps - lowest
+    sums = np.zeros((2, int(slot.max()) + 1), dtype=np.int64)
+    np.add.at(sums[0], slot, mantissas >> 26)
+    np.add.at(sums[1], slot, mantissas & ((1 << 26) - 1))
+    total = sum(((high << 26) + rest) << e
+                for e, (high, rest) in enumerate(zip(*sums.tolist())) if high or rest)
     # the sum of the values is total * 2**(lowest - 53)
     shift = lowest - 53
     if shift >= 0:

@@ -650,7 +650,7 @@ class SineSingletonClass:
     def sup_oracle(self, sample):
         xs, ys = sample
         ys = np.asarray(ys, dtype=float)
-        if np.any(ys.reshape(len(ys), -1)[:, 0] == 0.0):
+        if np.any((ys[:, 0] if ys.ndim > 1 else ys) == 0.0):
             raise SingularityError("sin(1/y) undefined at y = 0")
         return _SingletonOracle(len(xs))
 

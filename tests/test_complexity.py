@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from modalgap.core import DomainError, SeedSpec
+from modalgap.core import DomainError, SeedSpec, SingularityError
 from modalgap.complexity import (approximate_realizability, gaussian_average,
                                  gaussian_average_closed_form,
                                  rademacher_average,
@@ -26,6 +26,12 @@ def test_singleton_average_is_exactly_zero():
     assert est.value == 0.0 and est.stderr == 0.0
     assert est.mode == "enumeration-exact"
     assert gaussian_average_closed_form(cls, sample) == 0.0
+
+
+def test_singleton_average_refuses_a_pole():
+    sample = (np.array([0.5, 0.9]), np.array([[0.4], [0.0]]))
+    with pytest.raises(SingularityError, match="y = 0"):
+        gaussian_average(SineSingletonClass(), sample, draws=500, seed=SEED)
 
 
 def test_scaling_matches_half_normal_mean():
