@@ -161,7 +161,7 @@ def best_unimodal_population_risk(instance, cls, loss: Loss,
     if block is None:
         raise DomainError("population risk needs a finite support")
     solution = fit_unimodal(np.column_stack((block.x[:, 0], block.z)), cls,
-                            loss, grid_points=grid_points, refine=False)
+                            loss, grid_points=grid_points)
     return solution.objective, solution.member, solution.path
 
 
@@ -593,9 +593,30 @@ class SeparabilityReport:
                 "interior_fixed_points": self.interior_fixed_points}
 
 
+def _exact_extreme(xs, ys, pick, empty):
+    """pick (max or min) of the exact y - x over the rows as a Fraction, or
+    empty when there are none.  Float subtraction rounds monotonically, so
+    the extreme lies among the rows at the extreme float difference."""
+    if len(xs) == 0:
+        return Fraction(empty)
+    d = ys - xs
+    at = np.flatnonzero(d == pick(d.tolist()))
+    return pick(Fraction(y) - Fraction(x)
+                for x, y in zip(xs[at].tolist(), ys[at].tolist()))
+
+
 def separability_check(instance: SeparableInstance, sample) -> SeparabilityReport:
-    """Zero-error linear feasibility on (x, y) plus the x-axis crossing count,
+    """Exact linear separability of (x, y) plus the x-axis crossing count,
     on a labeled block or the first task of a labeled sample.
+
+    The labels must be sign(x - y), ties sent to +1 (else DomainError), and
+    a float difference has the exact sign.  So x - y + b = 0 separates the
+    rows exactly when lo < b < hi, for lo = max(y - x) over z = +1 and
+    hi = min(y - x) over z = -1.  A class with no rows is stood in for by
+    its corner of the unit square, (1, 0) or (0, 1), so lo = -1 or hi = 1.
+    The separator (1, -1, b) takes the midpoint b; margin is the exact least
+    z(x - y + b) at that b and canonical_margin the same at b = 0, each
+    rounded once.
 
     The crossing count of the labels along sorted x equals the number of
     interior fixed points of the connection whenever the sample touches
@@ -604,31 +625,23 @@ def separability_check(instance: SeparableInstance, sample) -> SeparabilityRepor
     block = sample.tasks[0] if isinstance(sample, MultiSample) else sample
     interior = len(instance.fixed_points) - 2
     if len(block) == 0:
-        return SeparabilityReport(separable=True, separator=(1.0, -1.0, 0.0),
-                                  margin=math.inf, canonical_margin=math.inf,
-                                  crossings=0, interior_fixed_points=interior)
-    xs, ys, zs = block.x[:, 0], block.y[:, 0], block.z
-
-    canonical = float(np.min(zs * (xs - ys)))
-
-    from scipy.optimize import linprog   # about 50 MB; loaded where it is used
-
-    # maximize the margin gamma subject to z(w1 x + w2 y + b) >= gamma,
-    # box-bounded weights; strictly positive optimum means separable
-    a_ub = np.column_stack([-zs * xs, -zs * ys, -zs, np.ones(len(zs))])
-    b_ub = np.zeros(len(zs))
-    result = linprog(c=[0.0, 0.0, 0.0, -1.0], A_ub=a_ub, b_ub=b_ub,
-                     bounds=[(-1, 1), (-1, 1), (-2, 2), (None, 1)],
-                     method="highs")
-    margin = float(result.x[3]) if result.success else -math.inf
-    separator = tuple(float(w) for w in result.x[:3]) if result.success else (0.0, 0.0, 0.0)
+        xs = ys = zs = np.empty(0)
+    else:
+        xs, ys, zs = block.x[:, 0], block.y[:, 0], block.z
+        if not np.array_equal(zs, np.where(xs >= ys, 1.0, -1.0)):
+            raise DomainError("separability needs the labels sign(x - y), "
+                              "ties sent to +1")
+    positive = zs > 0
+    lo = _exact_extreme(xs[positive], ys[positive], max, -1)
+    hi = _exact_extreme(xs[~positive], ys[~positive], min, 1)
+    b = float((lo + hi) / 2)
+    margin = float(min(Fraction(b) - lo, hi - Fraction(b)))
 
     order = np.argsort(xs)
     flips = int(np.sum(zs[order][1:] != zs[order][:-1]))
-    return SeparabilityReport(separable=bool(result.success and margin > 0),
-                              separator=separator, margin=margin,
-                              canonical_margin=canonical, crossings=flips,
-                              interior_fixed_points=interior)
+    return SeparabilityReport(separable=margin > 0, separator=(1.0, -1.0, b),
+                              margin=margin, canonical_margin=float(min(-lo, hi)),
+                              crossings=flips, interior_fixed_points=interior)
 
 
 @dataclass(frozen=True, eq=False)

@@ -136,7 +136,7 @@ def predict_unimodal(solution: MultimodalSolution, t: int, x) -> float:
 
 
 def fit_unimodal(xz_pairs, cls, loss: Loss = CLIPPED_ABS,
-                 grid_points: int = 100_000, refine: bool = True) -> UnimodalSolution:
+                 grid_points: int = 100_000) -> UnimodalSolution:
     """Single-modality ERM on (x, z) pairs, e.g. an (n, 2) array, through
     the class's own fit_x; classes whose members read y have none."""
     xs, zs = np.asarray(xz_pairs, dtype=float).reshape(-1, 2).T.copy()
@@ -147,7 +147,7 @@ def fit_unimodal(xz_pairs, cls, loss: Loss = CLIPPED_ABS,
     fit_x = getattr(cls, "fit_x", None)
     if fit_x is None:
         raise UnsupportedClassError(f"no x-only ERM for {cls!r}")
-    return fit_x(xs, zs, loss, grid_points, refine)
+    return fit_x(xs, zs, loss, grid_points)
 
 
 def fit_joint(labeled, connection_cls, predictor_cls,

@@ -3,7 +3,7 @@
 Each class answers for itself through the methods it has; callers do not
 branch on its type:
 
-- fit_x(xs, zs, loss, grid_points, refine): the x-only ERM, as a
+- fit_x(xs, zs, loss, grid_points): the x-only ERM, as a
   UnimodalSolution (scaling, composed sine, boolean maps, sign-complete).
 - comparator_risk(instance, t, loss, block): the exact best-in-class risk
   under the uniform law on the rows of a labeled block (the predictor
@@ -346,14 +346,12 @@ class UnimodalSolution:
                 "grid_resolution": self.grid_resolution}
 
 
-def _grid_erm(objective, grid_points: int, refine: bool):
-    """Dense grid over (0, 1] plus golden-section refinement of the best cell.
+def _grid_erm(objective, grid_points: int):
+    """Dense grid over (0, 1]; the first minimum wins.
 
     objective maps a 1-D array of thetas to one value per theta; the grid
-    hands it blocks of 8192 thetas and the refinement one theta at a time.
-    The first minimum of the grid wins.  The objective may be violently
-    oscillatory, so the recorded resolution is part of the result;
-    refinement only replaces the grid optimum when it actually improves it.
+    hands it blocks of 8192 thetas.  The objective may be violently
+    oscillatory, so the recorded resolution is part of the result.
     """
     thetas = np.arange(1, grid_points + 1, dtype=float) / grid_points
     best_val = math.inf
@@ -366,18 +364,6 @@ def _grid_erm(objective, grid_points: int, refine: bool):
         if vals[j] < best_val:
             best_val = float(vals[j])
             best_theta = float(chunk[j])
-    if refine:
-        # scipy.optimize costs about 50 MB to import; load it where it is used
-        from scipy.optimize import minimize_scalar
-
-        lo = max(best_theta - 1.0 / grid_points, 1e-12)
-        hi = min(best_theta + 1.0 / grid_points, 1.0)
-        res = minimize_scalar(lambda t: float(objective(np.array([t]))[0]),
-                              bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-12})
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best_theta = float(res.x)
     return best_theta, best_val
 
 
@@ -418,11 +404,10 @@ def _grid_objective(values, xs, zs, loss):
     return objective
 
 
-def _grid_fit(member_at, values, xs, zs, loss, grid_points, refine):
+def _grid_fit(member_at, values, xs, zs, loss, grid_points):
     """Grid ERM of the one-parameter family theta -> member_at(theta) over
     the _grid_objective of its value map."""
-    theta, val = _grid_erm(_grid_objective(values, xs, zs, loss), grid_points,
-                           refine)
+    theta, val = _grid_erm(_grid_objective(values, xs, zs, loss), grid_points)
     return UnimodalSolution(member=member_at(theta), objective=val,
                             path="grid-upper-bound",
                             grid_resolution=1.0 / grid_points)
@@ -518,7 +503,7 @@ class ScalingClass:
         theta = fit_scaling_lad(xs, ys, signed=self.signed)
         return ScalingConnection(theta), np.abs(theta * xs - ys)
 
-    def fit_x(self, xs, zs, loss: Loss, grid_points: int, refine: bool):
+    def fit_x(self, xs, zs, loss: Loss, grid_points: int):
         """The exact weighted-median LAD under plain absolute loss, the
         recorded-resolution grid over (0, 1] otherwise."""
         if loss.kind == "absolute":
@@ -527,7 +512,7 @@ class ScalingClass:
                                     objective=float(np.mean(np.abs(theta * xs - zs))),
                                     path="exact-lad")
         return _grid_fit(ScalingConnection, lambda p: p, xs, zs, loss,
-                         grid_points, refine)
+                         grid_points)
 
     def joint_candidates(self, per_eval: int, budget: int):
         """Grid over (0, 1] sized to the evaluation budget, as (members,
@@ -569,7 +554,7 @@ class BooleanMapClass:
     def members(self):
         return [BooleanConnection(t) for t in _ALL_TABLES]
 
-    def fit_x(self, xs, zs, loss: Loss, grid_points: int, refine: bool):
+    def fit_x(self, xs, zs, loss: Loss, grid_points: int):
         """Enumeration of the four tables; the first minimum wins."""
         members = self.members()
         values = [float(_clipped_mean_losses(m.map(xs), zs, loss)) for m in members]
@@ -731,7 +716,7 @@ class SignCompleteClass:
         slot, groups = cls._slots(points)
         return np.bincount(slot, minlength=groups).tolist()
 
-    def fit_x(self, xs, zs, loss: Loss, grid_points: int, refine: bool):
+    def fit_x(self, xs, zs, loss: Loss, grid_points: int):
         """Exact x-only ERM on the rows (xs, zs): each distinct x takes its
         own value, so the minimum splits over the groups of equal x.
 
@@ -892,13 +877,13 @@ class ComposedSineClass:
             raise DomainError("theta must lie in (0, 1]")
         return SineComposition(theta)
 
-    def fit_x(self, xs, zs, loss: Loss, grid_points: int, refine: bool):
+    def fit_x(self, xs, zs, loss: Loss, grid_points: int):
         """Grid ERM; every member is undefined at x = 0, so such a row has
         no loss to minimize."""
         if np.any(xs == 0.0):
             raise SingularityError("composed sine undefined at theta*x = 0")
         return _grid_fit(SineComposition, lambda p: np.sin(1.0 / p), xs, zs,
-                         loss, grid_points, refine)
+                         loss, grid_points)
 
     def oracle_input(self, instance, block):
         """The lattice indices of the rows: the oracle certifies patterns on
@@ -934,7 +919,7 @@ class XOnlyPredictorClass:
         if support is None:
             raise DomainError("population risk needs a finite support")
         solution = self.inner.fit_x(support.x[:, 0], support.z, loss,
-                                    grid_points=100_000, refine=False)
+                                    grid_points=100_000)
         return Fraction(solution.objective)
 
     def sup_oracle(self, sample):

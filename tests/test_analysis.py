@@ -274,6 +274,25 @@ def test_separability_check():
     assert report.crossings == 2 == report.interior_fixed_points
     empty = separability_check(inst, [])
     assert empty.separable and empty.crossings == 0
+    assert empty.margin == empty.canonical_margin == 1.0
+
+
+def test_separability_tie_row_keeps_a_positive_margin():
+    inst = make_separable_from_fixed_points([0, Fraction(1, 2), 1])
+    block = Block(x=np.array([0.25, 0.5, 0.75]), y=np.array([0.5, 0.5, 0.625]),
+                  z=np.array([-1.0, 1.0, 1.0]))
+    report = separability_check(inst, block)
+    assert report.canonical_margin == 0.0
+    assert report.separable
+    assert report.separator == (1.0, -1.0, 0.125) and report.margin == 0.125
+
+
+def test_separability_rejects_a_flipped_label():
+    inst = make_separable_from_fixed_points([0, Fraction(1, 2), 1])
+    block = Block(x=np.array([0.25, 0.75]), y=np.array([0.5, 0.625]),
+                  z=np.array([-1.0, -1.0]))
+    with pytest.raises(DomainError):
+        separability_check(inst, block)
 
 
 def test_bound_scaling_mini_grid():

@@ -114,6 +114,18 @@ def test_separability_command(tmp_path):
     assert data["separable"] and data["crossings"] == 2
 
 
+def test_separability_one_class_sample_has_a_finite_margin(tmp_path):
+    # f lies above the diagonal on (0, 1), so every row is labeled -1
+    out = tmp_path / "s"
+    assert main(["separability", "--fixed-points", "0,1", "--out", str(out)]) == 0
+    text = (out / "separability.json").read_text()
+    assert "Infinity" not in text and "NaN" not in text
+    data = json.loads(text)
+    assert data["separable"] and data["crossings"] == 0
+    assert data["separator"][:2] == [1.0, -1.0]
+    assert 0 < data["canonical_margin"] < data["margin"] < 1
+
+
 def test_necessity_command(tmp_path):
     out = tmp_path / "n"
     code = main(["necessity", "--n", "16", "--T", "2", "--trials", "10",

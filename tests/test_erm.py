@@ -139,7 +139,7 @@ def test_grid_objective_matches_one_row_per_theta_bitwise(n, kind, loss):
     rng = np.random.default_rng(1000 * n + len(kind))
     thetas = np.arange(1, 100_001, dtype=float) / 100_000
     # the first grid block, the last partial one (100,000 mod 8192 = 1,696
-    # rows) and a one-theta refinement step
+    # rows) and a single off-grid theta
     blocks = [thetas[:8192], thetas[98_304:], np.array([0.123456789])]
     assert len(blocks[1]) == 1696
     for xs in (_grid_rows(n, kind, rng), rng.uniform(0.01, 1.0, size=n)):
@@ -153,9 +153,9 @@ def test_grid_objective_matches_one_row_per_theta_bitwise(n, kind, loss):
 
 
 def test_unimodal_fit_matches_one_row_per_theta_on_criterion_5_seeds():
-    """fit_unimodal's theta and objective, refinement included, against the
-    grid search over the one-row-per-theta objective, on the first trials
-    of criterion 5 (n = 4 draws from a 64-point shattered lattice)."""
+    """fit_unimodal's theta and objective against the grid search over the
+    one-row-per-theta objective, on the first trials of criterion 5 (n = 4
+    draws from a 64-point shattered lattice)."""
     seed = SeedSpec(505)
     repeated = 0
     for trial in range(12):
@@ -169,7 +169,7 @@ def test_unimodal_fit_matches_one_row_per_theta_on_criterion_5_seeds():
                            CLIPPED_ABS)
         theta, objective = _grid_erm(
             _reference_objective(GRID_VALUES["sine"], xs, zs, CLIPPED_ABS),
-            100_000, True)
+            100_000)
         assert sol.member.theta.hex() == theta.hex()
         assert sol.objective.hex() == objective.hex()
     assert repeated > 0      # the shared-row path was exercised

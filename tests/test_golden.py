@@ -194,9 +194,9 @@ RUNS = {
 RESULT_HASHES = {
     "separation": {
         "separation.csv":
-            "193b0234b6100e4b55ed59968ec2ee8eae3061cd9f8515a7836209017a14d0a4",
+            "2dad99772f64dc748fb6acfd2631d1d581afb82f75307cc48c69252672568abf",
         "separation.json":
-            "655a1987005b03fc6b13e89c13993eb84ada5fb2f5daca96bdd6bca1080eca8d",
+            "409bf9efe84488bb74396d05cea294d5514ac8d60acfb4ecb723912c171e184c",
     },
     "fit-multimodal-sine": {
         "labeled.csv":
@@ -230,7 +230,7 @@ RESULT_HASHES = {
     },
     "separability": {
         "separability.json":
-            "71253e41e1b9ad8b4c1a5de3c48ad6523c039ba1afe9b43892fbe871980704c9",
+            "5de97771e58e2b3e36e77c1d716dff90c2c0cd70286a77bafe0810ea6fcc5091",
     },
     "shatter-sine-sign": {
         "certificate.csv":
@@ -266,7 +266,7 @@ RESULT_HASHES = {
     },
     "fit-unimodal-scaling": {
         "solution.json":
-            "2035e2373d561f3b7d4f08351e6af2e9b2eb5c549070594d5b832c248f811a0c",
+            "1de7aee5c3b4f89e004e73cfea141020a450f54acbc0a2e270fd48c697d0aa6a",
     },
     "fit-unimodal-boolean": {
         "solution.json":

@@ -8,7 +8,8 @@ written out here.  Shattering certificates, built in integers, are checked
 against Fraction range reduction written out here.  Samples survive the CSV
 round trip with their hash and arrays, instances survive the JSON round
 trip with their draws, and blocks reject malformed columns.  The exact mean
-loss is checked against the sum of one Fraction per loss.
+loss is checked against the sum of one Fraction per loss, and the
+separability report against Fraction arithmetic on every row.
 """
 
 import itertools
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from modalgap.analysis import best_unimodal_population_risk
+from modalgap.analysis import best_unimodal_population_risk, separability_check
 from modalgap.complexity import gaussian_average, gaussian_average_closed_form
 from modalgap.core import (ABSOLUTE, CLIPPED_ABS, Block, DomainError, Loss,
                            InvalidInputError, SeedSpec, draw_labeled,
@@ -115,8 +116,7 @@ def test_sign_complete_population_risk_matches_value_scan(rows, bound, kind):
     loss = Loss(kind)
     xs = np.array([float(x) for x, _ in rows])
     zs = np.array([z for _, z in rows])
-    solution = SignCompleteClass(bound=bound).fit_x(xs, zs, loss,
-                                                   grid_points=1, refine=False)
+    solution = SignCompleteClass(bound=bound).fit_x(xs, zs, loss, grid_points=1)
     assert solution.path == "enumeration-exact"
     risk, member = solution.objective, solution.member
     preds = member.map(xs)
@@ -396,3 +396,24 @@ def test_mean_loss_rejects_non_finite_inputs(pairs, bad, side, data):
     with pytest.raises(InvalidInputError,
                        match="^loss_eval needs finite prediction and label$"):
         mean_loss(CLIPPED_ABS, preds, np.array(zs))
+
+
+@PROPERTY
+@given(interior=_INTERIOR, n=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
+def test_separability_separator_holds_in_exact_arithmetic(interior, n, seed):
+    instance = make_separable_from_fixed_points([0, *interior, 1])
+    block = draw_labeled(instance, 1, n, SeedSpec(seed)).tasks[0]
+    report = separability_check(instance, block)
+    w1, w2, b = (Fraction(w) for w in report.separator)
+    rows = list(zip(block.x[:, 0].tolist(), block.y[:, 0].tolist(),
+                    block.z.tolist()))
+    # a class with no rows is stood in for by its corner of the unit square
+    rows += [corner for corner in ((1.0, 0.0, 1.0), (0.0, 1.0, -1.0))
+             if corner[2] not in block.z]
+    sides = [Fraction(z) * (w1 * Fraction(x) + w2 * Fraction(y) + b)
+             for x, y, z in rows]
+    assert report.separable and min(sides) > 0
+    assert report.margin == float(min(sides))
+    assert report.margin >= report.canonical_margin
+    assert report.canonical_margin == float(min(
+        Fraction(z) * (Fraction(x) - Fraction(y)) for x, y, z in rows))
