@@ -249,27 +249,38 @@ class _BooleanMapOracle(SupOracle):
         return np.maximum(s0, 0.0) + np.maximum(s1, 0.0)
 
 
+def _sum_copies(sigma, slot, groups):
+    """Column g of the result sums the columns of sigma whose slot is g.
+
+    np.add.at adds a group's copies one at a time in draw order, so the
+    last bits do not depend on the CPU's BLAS kernel; a 0/1 matrix product
+    may add three or more copies in another order.
+    """
+    sums = np.zeros((len(sigma), groups))
+    np.add.at(sums, (slice(None), slot), sigma)
+    return sums
+
+
 class _SignCompleteOracle(SupOracle):
     """sup over [-bound, bound]^n of sigma . f is bound * sum |sigma_i|,
     reached at the vertex f = bound * sign(sigma).
 
     Copies of one point share a value, so with repeated points the sum runs
-    over the groups of copies: bound * sum_g |sum_{i in g} sigma_i|.  The
-    group sums are one 0/1 matrix product; distinct points skip it.
+    over the groups of copies: bound * sum_g |sum_{i in g} sigma_i|, each
+    group summed in draw order.  Distinct points skip the grouping.
     """
 
     def __init__(self, slot: np.ndarray, groups: int, bound: float):
         self.size = len(slot)
         self.exact = True
         self.bound = bound
-        self._incidence = (None if groups == self.size else
-                           (slot[:, None] == np.arange(groups)).astype(float))
-
-    def _group_sums(self, sigma):
-        return sigma if self._incidence is None else sigma @ self._incidence
+        self._slot = slot
+        self._groups = groups
 
     def batch(self, sigma):
-        return self.bound * np.abs(self._group_sums(sigma)).sum(axis=1)
+        if self._groups != self.size:
+            sigma = _sum_copies(sigma, self._slot, self._groups)
+        return self.bound * np.abs(sigma).sum(axis=1)
 
 
 class _PatternOracle(SupOracle):
@@ -297,8 +308,10 @@ class _ShatterWitnessOracle(SupOracle):
     (>= sum |sigma_i| / 2 by the window guarantee), not the exact supremum.
 
     Repeated indices (iid draws can hit the same lattice point) share one
-    sign, chosen to match the group's sigma sum.  A batch builds one
-    certificate per distinct sign pattern among its rows.
+    sign, chosen to match the group's sigma sum, which adds the copies in
+    draw order.  A batch keys each row's sign pattern by its packed bits and
+    builds one certificate per distinct pattern; each row's value is then
+    one BLAS dot product of its sums with its pattern's sines.
     """
 
     exact = False
@@ -310,20 +323,23 @@ class _ShatterWitnessOracle(SupOracle):
         self.size = len(self._slot)
 
     def batch(self, sigma):
-        # np.add.at adds a group's copies in draw order; a 0/1 matrix product
-        # may add three or more in another order and change the last bit
-        sums = np.zeros((len(sigma), len(self.unique)))
-        np.add.at(sums, (slice(None), self._slot), sigma)
-        patterns, which = np.unique(np.where(sums >= 0, 1, -1), axis=0,
-                                    return_inverse=True)
+        sums = _sum_copies(sigma, self._slot, len(self.unique))
+        # one byte string per row, bit set where the sum is >= 0; bytes
+        # compare as the +-1 rows did, so the patterns keep their order
+        bits = np.packbits(sums >= 0, axis=1)
+        width = bits.shape[1]
+        keys, which = np.unique(bits.view(np.dtype((np.void, width))).reshape(-1),
+                                return_inverse=True)
+        patterns = 2 * np.unpackbits(keys.view(np.uint8).reshape(-1, width),
+                                     axis=1, count=sums.shape[1]).astype(int) - 1
         # filled in place: a list of per-pattern rows would raise peak memory
         sines = np.empty(patterns.shape)
         for j, signs in enumerate(patterns.tolist()):
             sines[j] = shatter.construct(signs, convention="sine-sign",
                                          indices=self.unique).sines
-        # one dot per row keeps the bits of the per-draw value
-        return np.array([np.dot(row, sine) for row, sine
-                         in zip(sums, sines[which.reshape(-1)])])
+        # a vector-by-vector matmul calls the dot routine of np.dot, so each
+        # row keeps the bits of the per-draw value
+        return np.matmul(sums[:, None, :], sines[which][:, :, None]).reshape(-1)
 
 
 # ---------------------------------------------------------------------------

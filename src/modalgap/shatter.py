@@ -14,7 +14,12 @@ that mod.  Digits above i are multiples of 16w and drop out; digit i adds
 d_i * w modulo 4w; and the prefix 4c_{<i} = 2 + sum_{j<i} (4 + d_j) * 16^j
 is 2 mod 4 and below 2 + 5 * (w - 16) / 15 < w / 3.  So
 r_i = (2 + d_i) * w + 4c_{<i}, which lies in [w, 4w) as it stands, and
-construct() accumulates 4c as that prefix sum.  The window tests compare
+construct() accumulates 4c as that prefix sum.  Everything else it needs
+depends only on the index set, the convention and each sign, so one small
+cached table per index set holds, per index and sign, the offset
+(2 + d_i) * w, the window bounds on r, the step (4 + d_i) * w of 4c and
+the denominator 4w as plain ints: an index then costs a lookup, two
+additions, the window test and a sine.  The window tests compare
 integers.  The sine itself is only evaluated in floating point after the
 exact fractional part is known; an int-by-int true division is correctly
 rounded, so r / (4w) is the same float as float(Fraction(r, 4w)).
@@ -166,6 +171,39 @@ class ShatterCertificate:
         return True
 
 
+@lru_cache(maxsize=16)
+def _index_table(indices: tuple, convention: str) -> tuple:
+    """The integers construct() needs for each index of a strictly
+    increasing index set, by sign: {s: (offset, lo, hi, step, d)}.
+
+    With w = 16^i, d = 4w and the digit flip * s, the residue is
+    r = offset + 4c_{<i} with offset = (2 + digit) * w, and step =
+    (4 + digit) * w extends the prefix 4c_{<i} to 4c_{<=i}.  A positive
+    digit targets NEGATIVE_WINDOW, a negative one POSITIVE_WINDOW; both are
+    in eighths, so frac = r / d lies in [lo8 / 8, hi8 / 8] exactly when
+    lo8 * d <= 8r <= hi8 * d, that is lo8 * w / 2 <= r <= hi8 * w / 2 (w is
+    even), and those two integers are lo and hi.  Bad indices raise
+    ValueError and are not cached, so every call with them raises.
+    """
+    if min(indices) < 1:
+        raise ValueError("lattice indices start at 1")
+    if sorted(set(indices)) != list(indices):
+        raise ValueError("indices must be strictly increasing and distinct")
+    flip = 1 if convention == "interval" else -1
+    table = []
+    for i in indices:
+        w = 16 ** i
+        d = 4 * w
+        choices = {}
+        for s in (-1, 1):
+            digit = flip * s
+            lo8, hi8 = (5, 7) if digit > 0 else (1, 3)
+            choices[s] = ((2 + digit) * w, lo8 * w // 2, hi8 * w // 2,
+                          (4 + digit) * w, d)
+        table.append(choices)
+    return tuple(table)
+
+
 def construct(signs: Sequence[int], convention: str = "sine-sign",
               indices: Optional[Iterable[int]] = None) -> ShatterCertificate:
     """Build the exact witness c for the requested sign pattern.
@@ -187,30 +225,18 @@ def construct(signs: Sequence[int], convention: str = "sine-sign",
     indices = tuple(map(int, indices))
     if len(indices) != len(signs):
         raise ValueError("indices and signs must have equal length")
-    if min(indices) < 1:
-        raise ValueError("lattice indices start at 1")
-    if sorted(set(indices)) != list(indices):
-        raise ValueError("indices must be strictly increasing and distinct")
-
-    # digit d_i = flip * s_i; c4 holds the prefix sum 4c_{<i} until the
-    # loop ends, and then 4c itself
-    flip = 1 if convention == "interval" else -1
+    # c4 holds the prefix sum 4c_{<i} until the loop ends, and then 4c itself
     c4 = 2
     residues = []
     sines = []
-    for i, s in zip(indices, signs):
-        w = 16 ** i
-        d = 4 * w
-        digit = flip * s
-        r = (2 + digit) * w + c4
-        # a positive digit targets NEGATIVE_WINDOW, a negative one
-        # POSITIVE_WINDOW; both windows are in eighths, so 8r/d is compared
-        lo, hi = (5, 7) if digit > 0 else (1, 3)
-        if not lo * d <= 8 * r <= hi * d:
+    for s, choices in zip(signs, _index_table(indices, convention)):
+        offset, lo, hi, step, d = choices[s]
+        r = offset + c4
+        if not lo <= r <= hi:
             raise AssertionError("window membership failed; construction bug")
         residues.append(r)
         sines.append(math.sin(TWO_PI * (r / d)))
-        c4 += (4 + digit) * w
+        c4 += step
     return ShatterCertificate(signs=signs, indices=indices,
                               convention=convention, c4=c4,
                               residues=tuple(residues), sines=tuple(sines))

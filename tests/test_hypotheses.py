@@ -115,24 +115,41 @@ def witness_reference(indices, row):
     return float(np.dot(sums, np.array(cert.sine_values()))), sums, cert
 
 
+def _zero_lowest_group(indices, sigma):
+    """Make the group sum of the lowest index exactly 0 in the first two
+    rows: zeros in row 0; x and -x in row 1, or -0.0 for a single copy."""
+    lowest = [k for k, i in enumerate(indices) if i == min(indices)]
+    sigma[:2, lowest] = 0.0
+    if len(sigma) > 1:
+        sigma[1, lowest[:2]] = (0.75, -0.75) if len(lowest) > 1 else -0.0
+
+
 def test_sup_witness_composed_sine_lower_bound():
     # each value is sigma . sin on the certificate of sigma's sign pattern,
     # which is a feasible member: the value is a certified lower bound.
     # Repeated indices sum their sigmas first; groups of three or more are
-    # where another order of addition would show in the last bit.
+    # where another order of addition would show in the last bit.  Patterns
+    # are keyed by packed bits: 9 and 16 distinct indices take 2 bytes, 17
+    # take 3, and 60..76 is past int64.  A group summing to exactly 0 takes
+    # the sign +1, which moves the sines of every higher index.
     rng = np.random.default_rng(8)
     for indices in ([1, 2], [1, 2, 3, 4, 5], list(range(1, 10)), [3, 1, 2],
                     [2, 5, 2, 1], [4, 1, 4, 2, 4, 3, 1], [6, 6, 6, 6, 6],
-                    [1, 9, 9, 2, 9, 2, 5, 9, 1, 5, 5]):
+                    [1, 9, 9, 2, 9, 2, 5, 9, 1, 5, 5], list(range(1, 17)),
+                    list(range(17, 0, -1)), list(range(60, 77))):
         for rows in (1, 3, 200):
             sigma = rng.standard_normal((rows, len(indices)))
+            _zero_lowest_group(indices, sigma)
             values = ComposedSineClass().sup_oracle(indices).batch(sigma)
-            for row, value in zip(sigma, values):
+            assert values.shape == (rows,)
+            for r, (row, value) in enumerate(zip(sigma, values)):
                 expected, sums, cert = witness_reference(indices, row)
                 assert cert.verify()
                 assert 0.0 < cert.theta <= 1.0
                 assert value == expected
                 assert value >= 0.5 * np.abs(sums).sum()
+                if r < 2:
+                    assert sums[0] == 0.0 and cert.signs[0] == 1
 
 
 def test_sup_witness_builds_no_fraction(monkeypatch):
@@ -277,6 +294,23 @@ def test_sign_complete_stage2_objective_is_the_row_mean(rows, bound, loss):
     brute = math.fsum(loss_eval(loss, first[(x, y)], z) for x, y, z in rows)
     assert objective == pytest.approx(brute / len(rows), rel=1e-12, abs=1e-15)
     assert member.predict(0.4, 0.5) == 0.0
+
+
+def test_sign_complete_oracle_sums_copies_in_draw_order():
+    # groups of three or more copies, where a 0/1 matrix product may add in
+    # another order: each value has the bits of its row's copies added one
+    # at a time in draw order
+    rng = np.random.default_rng(19)
+    for slots in ([0, 0, 0], [1, 0, 1, 2, 1, 0, 1], [3] * 7 + [0, 1, 2] + [3] * 5,
+                  [k % 4 for k in range(23)]):
+        points = np.array(slots, dtype=float)
+        sigma = rng.standard_normal((100, len(slots)))
+        values = SignCompleteClass(bound=1.5).sup_oracle(points).batch(sigma)
+        groups = sorted(set(slots), key=slots.index)
+        for row, value in zip(sigma, values):
+            sums = np.zeros(len(groups))
+            np.add.at(sums, [groups.index(k) for k in slots], row)
+            assert value == 1.5 * np.abs(sums).sum()
 
 
 def test_sign_complete_oracle_groups_repeated_points():

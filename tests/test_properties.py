@@ -60,10 +60,14 @@ def test_sign_complete_estimate_beyond_twenty_points():
     est = gaussian_average(cls, points, draws=4000, seed=SeedSpec(21))
     assert est.mode == "enumeration-exact"
     assert est.agrees_with(gaussian_average_closed_form(cls, points))
-    # 21 copies of one point share one value: the supremum is |sum sigma|
+    # 21 copies of one point share one value: the supremum is |sum sigma|,
+    # the copies added in draw order
     sigma = np.random.default_rng(21).standard_normal((4, 21))
+    in_draw_order = np.zeros(4)
+    for column in sigma.T:
+        in_draw_order += column
     assert np.array_equal(cls.sup_oracle(np.zeros(21)).batch(sigma),
-                          np.abs(sigma @ np.ones(21)))
+                          np.abs(in_draw_order))
 
 
 @PROPERTY
@@ -142,13 +146,7 @@ def _fraction_frac(c, a):
     return p - math.floor(p)
 
 
-@PROPERTY
-@given(indices=_increasing_indices(64), convention=st.sampled_from(CONVENTIONS),
-       data=st.data())
-def test_integer_certificate_matches_fraction_reduction(indices, convention,
-                                                        data):
-    signs = data.draw(st.lists(st.sampled_from((-1, 1)), min_size=len(indices),
-                               max_size=len(indices)))
+def _check_against_fraction_reduction(signs, convention, indices):
     cert = construct(signs, convention=convention, indices=indices)
     assert cert.verify()
     flip = 1 if convention == "interval" else -1
@@ -169,6 +167,26 @@ def test_integer_certificate_matches_fraction_reduction(indices, convention,
         [e.sine.hex() for e in cert.entries]
     assert cert.c == Fraction(cert.c4, 4)
     assert certificate_from_json(certificate_to_json(cert)) == cert
+
+
+@PROPERTY
+@given(indices=_increasing_indices(64), convention=st.sampled_from(CONVENTIONS),
+       data=st.data())
+def test_integer_certificate_matches_fraction_reduction(indices, convention,
+                                                        data):
+    signs = data.draw(st.lists(st.sampled_from((-1, 1)), min_size=len(indices),
+                               max_size=len(indices)))
+    _check_against_fraction_reduction(signs, convention, indices)
+
+
+def test_alternating_conventions_on_one_index_set():
+    # construct caches a table per index set and convention; alternating the
+    # conventions must never hand one the other's table
+    rng = np.random.default_rng(19)
+    indices = [2, 3, 5, 8, 13, 21, 34, 55]
+    for k in range(8):
+        signs = rng.choice((-1, 1), size=len(indices)).tolist()
+        _check_against_fraction_reduction(signs, CONVENTIONS[k % 2], indices)
 
 
 _RATIONAL = st.fractions(min_value=0, max_denominator=10**30)

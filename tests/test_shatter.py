@@ -173,3 +173,18 @@ def test_bad_inputs():
         construct([1, 1], indices=[2, 2])
     with pytest.raises(ValueError):
         construct([1], convention="mystery")
+    # the convention is checked before the index set
+    with pytest.raises(ValueError, match="mystery"):
+        construct([1, 1], convention="mystery", indices=[1])
+
+
+def test_bad_index_sets_raise_on_every_call():
+    # the per-index-set table is cached; a set that fails its checks is not,
+    # so every call raises, and a good set built after it is unaffected
+    for indices, message in (([2, 2], "strictly increasing"),
+                             ([0], "start at 1"),
+                             ([3, 1], "strictly increasing")):
+        for _ in range(3):
+            with pytest.raises(ValueError, match=message):
+                construct([1] * len(indices), indices=indices)
+    assert construct([1, -1], indices=[1, 3]).verify()
