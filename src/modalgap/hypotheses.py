@@ -390,6 +390,46 @@ def _clipped_mean_losses(preds, zs, loss: Loss):
     return d.mean(axis=-1)
 
 
+def _row_mean(d):
+    """The mean of the rows of the 2-D array d, one value per column, with
+    the bits of numpy's mean along the last axis of a C-contiguous copy of
+    d.T, but with no copy.
+
+    The rows are added as whole vectors in the order of numpy's pairwise
+    sum: one after another below 8 rows; up to 128 rows, eight running sums
+    over the rows i = 0..7 (mod 8), combined as ((r0 + r1) + (r2 + r3)) +
+    ((r4 + r5) + (r6 + r7)), then the rows left over, in order; above 128
+    rows, the sums of the two parts split at n/2 rounded down to a multiple
+    of 8.  numpy's reduce starts from +0.0, so a column of -0.0 sums to
+    +0.0; the sum is then divided by the row count.
+    """
+
+    def pairwise(rows):
+        n = len(rows)
+        if n < 8:
+            total = rows[0].copy()
+            for row in rows[1:]:
+                total += row
+            return total
+        if n <= 128:
+            stop = n - n % 8
+            r = rows[:8].copy()
+            for lo in range(8, stop, 8):
+                r += rows[lo:lo + 8]
+            total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+            for row in rows[stop:]:
+                total += row
+            return total
+        half = n // 2
+        half -= half % 8
+        return pairwise(rows[:half]) + pairwise(rows[half:])
+
+    total = pairwise(d)
+    total += 0.0                 # the +0.0 numpy's reduce starts from
+    total /= len(d)
+    return total
+
+
 def _grid_objective(values, xs, zs, loss):
     """The mean loss over the rows (xs, zs) of the members whose predictions
     are values(theta * x), elementwise, as a map from a 1-D array of thetas
@@ -397,7 +437,7 @@ def _grid_objective(values, xs, zs, loss):
 
     values runs once per distinct x, on a row that runs along the thetas,
     and |prediction - z| and the clip run on those long rows.  The mean is
-    numpy's own, over a C-contiguous (thetas, rows) array, so every value
+    _row_mean's, whole rows added in numpy's pairwise order, so every value
     has the bits of the one-row-per-theta form
     _clipped_mean_losses(values(np.outer(thetas, xs)), zs, loss).  Without
     repeated x there is nothing to share, and the rows are xs as given.
@@ -415,7 +455,7 @@ def _grid_objective(values, xs, zs, loss):
         np.abs(d, out=d)
         if loss.kind == "clipped-absolute":
             np.minimum(d, 1.0, out=d)
-        return np.ascontiguousarray(d.T).mean(axis=-1)
+        return _row_mean(d)
 
     return objective
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modalgap.cli import _CLASSES
 from modalgap.core import (ABSOLUTE, CLIPPED_ABS, Block, DomainError,
@@ -14,7 +15,7 @@ from modalgap.erm import (fit_joint, fit_multimodal, fit_unimodal,
 from modalgap.hypotheses import (BooleanLookupClass, BooleanMapClass,
                                  ComposedSineClass, ScalingClass,
                                  SineSingletonClass, _clipped_mean_losses,
-                                 _grid_erm, _grid_objective)
+                                 _grid_erm, _grid_objective, _row_mean)
 from modalgap.instances import make_boolean, make_sine, make_sine_shattered
 from modalgap.shatter import lattice_point
 
@@ -132,7 +133,10 @@ def _grid_rows(n, kind, rng):
     return xs
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 64, 129])
+# every branch of _row_mean's pairwise order: below 8 rows, whole and
+# partial groups of 8 up to 128, and one or two levels of splitting above
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 64, 127,
+                               128, 129, 136, 255, 256, 257, 1000])
 @pytest.mark.parametrize("kind", sorted(GRID_VALUES))
 @pytest.mark.parametrize("loss", [CLIPPED_ABS, ABSOLUTE], ids=lambda l: l.kind)
 def test_grid_objective_matches_one_row_per_theta_bitwise(n, kind, loss):
@@ -150,6 +154,50 @@ def test_grid_objective_matches_one_row_per_theta_bitwise(n, kind, loss):
             got, want = new(block), old(block)
             assert got.shape == want.shape == block.shape
             assert got.tobytes() == want.tobytes()
+
+
+def _mixed_columns(rows, seed):
+    """rows x 8 floats: a column of -0.0, one of +0.0 and -0.0 mixed, one
+    of subnormals, one of pairs x, -x that cancel, and four of both signs
+    with magnitudes from 1e-300 to 1e300 (too small for 600 rows to
+    overflow)."""
+    rng = np.random.default_rng(seed)
+    d = np.empty((rows, 8))
+    d[:, 0] = -0.0
+    d[:, 1] = np.where(rng.random(rows) < 0.5, -0.0, 0.0)
+    d[:, 2] = rng.integers(-2**20, 2**20, size=rows) * 5e-324
+    d[:, 3] = rng.standard_normal(rows)
+    d[1::2, 3] = -d[0:rows - 1:2, 3]
+    d[:, 4:] = (rng.choice([-1.0, 1.0], size=(rows, 4))
+                * rng.uniform(1.0, 10.0, size=(rows, 4))
+                * 10.0 ** rng.integers(-300, 300, size=(rows, 4)))
+    return d
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rows=st.integers(1, 600), seed=st.integers(0, 2**32 - 1))
+def test_row_mean_matches_numpy_mean_bitwise(rows, seed):
+    d = _mixed_columns(rows, seed)
+    got = _row_mean(d)
+    want = np.ascontiguousarray(d.T).mean(axis=-1)
+    assert got.tobytes() == want.tobytes()
+    assert not np.signbit(got[0])      # numpy's sum of -0.0 is +0.0
+    assert d.tobytes() == _mixed_columns(rows, seed).tobytes()   # d is not written
+
+
+def test_unimodal_scaling_fit_above_256_rows_matches_one_row_per_theta():
+    """fit_unimodal on 300 rows runs _row_mean's split twice over; its theta
+    and objective equal the grid search over the one-row-per-theta form."""
+    rng = np.random.default_rng(257)
+    xs = _grid_rows(300, "scaling", rng)
+    zs = 0.6 * xs + rng.normal(0.0, 0.2, size=300)
+    sol = fit_unimodal(np.column_stack((xs, zs)), ScalingClass(), CLIPPED_ABS)
+    theta, objective = _grid_erm(
+        _reference_objective(GRID_VALUES["scaling"], xs, zs, CLIPPED_ABS),
+        100_000)
+    assert sol.path == "grid-upper-bound"
+    assert sol.member.theta.hex() == theta.hex()
+    assert sol.objective.hex() == objective.hex()
 
 
 def test_unimodal_fit_matches_one_row_per_theta_on_criterion_5_seeds():

@@ -7,9 +7,10 @@ replaces, also on samples with repeated points, and the population risk
 written out here.  Shattering certificates, built in integers, are checked
 against Fraction range reduction written out here.  Samples survive the CSV
 round trip with their hash and arrays, instances survive the JSON round
-trip with their draws, and blocks reject malformed columns.  The exact mean
-loss is checked against the sum of one Fraction per loss, and the
-separability report against Fraction arithmetic on every row.
+trip with their draws, seed specs survive JSON text with their streams, and
+blocks reject malformed columns.  The exact mean loss is checked against
+the sum of one Fraction per loss, and the separability report against
+Fraction arithmetic on every row.
 """
 
 import itertools
@@ -315,6 +316,25 @@ def test_instance_json_round_trip_keeps_json_and_draws(instance, seed):
     for draw in (draw_labeled, draw_unlabeled):
         assert (sample_hash(draw(back, T, 5, SeedSpec(seed)))
                 == sample_hash(draw(instance, T, 5, SeedSpec(seed))))
+
+
+# roots below 0 and above 2^64 are folded by the mask; labels hash by type
+_ROOTS = st.one_of(st.integers(-2**80, -1), st.integers(0, 2**64 - 1),
+                   st.integers(2**64, 2**80))
+_LABELS = st.one_of(st.text(max_size=6), st.integers(-2**70, 2**70),
+                    st.booleans())
+
+
+@PROPERTY
+@given(root=_ROOTS, path=st.lists(_LABELS, max_size=4))
+def test_seed_spec_json_text_round_trip_keeps_streams(root, path):
+    spec = SeedSpec(root).child(*path)
+    back = SeedSpec.from_json(json.loads(json.dumps(spec.to_json())))
+    assert back == spec
+    # True == 1, so equality alone would not see a bool come back an int
+    assert [type(b) for b in back.path] == [type(b) for b in spec.path]
+    assert (back.generator().random(4).tobytes()
+            == spec.generator().random(4).tobytes())
 
 
 _OTHER_RULES = st.one_of(
