@@ -15,9 +15,8 @@ branch on its type:
   sigma, with no member: the exact supremum where the oracle is exact,
   otherwise the value of a feasible member, so estimates built from it are
   valid lower bounds of the true supremum.  Oracles work on arrays: the
-  hyperplane oracle holds one value matrix and no member objects, and the
-  composed sine oracle builds one certificate per distinct sign pattern of
-  a batch.
+  hyperplane oracle keeps no sign pattern, and the composed sine oracle
+  builds one certificate per distinct sign pattern of a batch.
 - closed_form_gaussian(sample) / closed_form_rademacher(sample): the
   analytic average, defined only on the classes that have one.
 - fit_connection(xs, ys) and joint_candidates(per_eval, budget): the
@@ -42,6 +41,9 @@ from .instances import SineInstance
 from . import shatter
 
 TWO_PI = 2.0 * math.pi
+
+# a hyperplane normal's norm bound; lstsq returns norm 1 as 1 + O(1e-16)
+UNIT_BALL = 1.0 + 1e-12
 
 # ---------------------------------------------------------------------------
 # connection members
@@ -249,6 +251,15 @@ class _BooleanMapOracle(SupOracle):
         return np.maximum(s0, 0.0) + np.maximum(s1, 0.0)
 
 
+def _column_sum(a):
+    """Per row of the 2-D array a, its columns added left to right from
+    +0.0: a BLAS product's order can change with the CPU's kernel."""
+    total = np.zeros(a.shape[0])
+    for column in a.T:
+        total += column
+    return total
+
+
 def _sum_copies(sigma, slot, groups):
     """Column g of the result sums the columns of sigma whose slot is g.
 
@@ -302,6 +313,20 @@ class _PatternOracle(SupOracle):
         return out
 
 
+class _AllPatternsOracle(SupOracle):
+    """Every sign pattern is a certified member's values, so the supremum is
+    sum |sigma_i|; rounded addition is monotone, so it has the bits of the
+    best pattern summed in the same order."""
+
+    exact = True
+
+    def __init__(self, size: int):
+        self.size = size
+
+    def batch(self, sigma):
+        return _column_sum(np.abs(sigma))
+
+
 class _ShatterWitnessOracle(SupOracle):
     """Composed sine family on lattice points: per draw, realize the sign
     pattern of sigma exactly and collect sigma . sin values.  Lower bound
@@ -310,8 +335,8 @@ class _ShatterWitnessOracle(SupOracle):
     Repeated indices (iid draws can hit the same lattice point) share one
     sign, chosen to match the group's sigma sum, which adds the copies in
     draw order.  A batch keys each row's sign pattern by its packed bits and
-    builds one certificate per distinct pattern; each row's value is then
-    one BLAS dot product of its sums with its pattern's sines.
+    builds one certificate per distinct pattern; a row's value adds its
+    sums times its pattern's sines left to right.
     """
 
     exact = False
@@ -337,9 +362,9 @@ class _ShatterWitnessOracle(SupOracle):
         for j, signs in enumerate(patterns.tolist()):
             sines[j] = shatter.construct(signs, convention="sine-sign",
                                          indices=self.unique).sines
-        # a vector-by-vector matmul calls the dot routine of np.dot, so each
-        # row keeps the bits of the per-draw value
-        return np.matmul(sums[:, None, :], sines[which][:, :, None]).reshape(-1)
+        products = sines[which]
+        products *= sums
+        return _column_sum(products)
 
 
 # ---------------------------------------------------------------------------
@@ -823,17 +848,17 @@ class SignCompleteClass:
 class SmoothedHyperplaneClass:
     """f(p) = (p.v - c)/max(|p.v - c|, eps) with ||v|| <= 1; (1/eps)-Lipschitz.
 
-    The sup oracle maximizes over the value matrix of an explicit feasible
-    member set, built as one array, in one of two modes the caller names:
-    "collinear", the n+1 rising thresholds along the line of a collinear
-    sample (a certified lower bound), or "patterns", all 2^n sign patterns
-    when one margin product certifies every pattern at margin >= eps.  The
-    values are then the +-1 patterns themselves, and the maximum is exact,
-    since sum |sigma_i| is the outright maximum over [-1,1]^n.
+    The sup oracle takes one of two modes the caller names: "collinear",
+    the value matrix of the n+1 rising thresholds along the line of a
+    collinear sample (a certified lower bound), or "patterns", which
+    certifies all 2^n sign patterns at margin >= eps; the supremum is then
+    exactly sum |sigma_i|, the outright maximum over [-1,1]^n.
     """
 
     dim: int
     epsilon: float
+
+    PATTERN_BLOCK = 256    # sign patterns certified per block
 
     def __post_init__(self):
         if not (self.epsilon > 0):
@@ -847,7 +872,7 @@ class SmoothedHyperplaneClass:
         v = np.asarray(v, dtype=float)
         if len(v) != self.dim:
             raise DomainError("normal vector has wrong dimension")
-        if np.linalg.norm(v) > 1 + 1e-12:
+        if np.linalg.norm(v) > UNIT_BALL:
             raise DomainError("normal vector must lie in the unit ball")
         return HyperplanePredictor(v, float(c), self.epsilon)
 
@@ -882,27 +907,29 @@ class SmoothedHyperplaneClass:
         t = np.array([np.dot(u, p) for p in points])
         return _smoothed_sign(t - cuts[:, None], self.epsilon)
 
-    def _pattern_values(self, points):
-        """The 2^n sign patterns as rows, once every pattern is certified at
-        margin >= eps.
+    def _certify_patterns(self, points):
+        """Certify the 2^n sign patterns at margin >= eps, a block at a
+        time, keeping none.
 
         Pattern p gets v = lstsq(points, p/sqrt(n)); one matrix product gives
-        every margin.  A certified margin has |s| >= eps, so each value
-        s/max(|s|, eps) is exactly the sign of p.
+        a block's margins.  Each value s/max(|s|, eps) is then exactly the
+        sign of p.
         """
         n = points.shape[0]
         if n > 20:
             raise DomainError("pattern enumeration capped at 20 points")
-        bits = (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
-        patterns = 2.0 * bits - 1.0
-        normals = np.array([np.linalg.lstsq(points, p / math.sqrt(n), rcond=None)[0]
-                            for p in patterns])
-        margins = normals @ points.T
-        if (np.linalg.norm(normals, axis=1).max() > 1
-                or np.any(np.sign(margins) != patterns)
-                or np.min(np.abs(margins)) < self.epsilon):
-            raise UnsupportedClassError("no certified member set for this sample")
-        return patterns
+        shifts = np.arange(n - 1, -1, -1)
+        for lo in range(0, 2 ** n, self.PATTERN_BLOCK):
+            codes = np.arange(lo, min(lo + self.PATTERN_BLOCK, 2 ** n))
+            patterns = 2.0 * ((codes[:, None] >> shifts) & 1) - 1.0
+            normals = np.array([np.linalg.lstsq(points, p / math.sqrt(n),
+                                                rcond=None)[0]
+                                for p in patterns])
+            margins = normals @ points.T
+            if (np.linalg.norm(normals, axis=1).max() > UNIT_BALL
+                    or np.any(np.sign(margins) != patterns)
+                    or np.min(np.abs(margins)) < self.epsilon):
+                raise UnsupportedClassError("no certified member set for this sample")
 
     def sup_oracle(self, sample, mode: str):
         points = np.asarray(sample, dtype=float)
@@ -911,7 +938,8 @@ class SmoothedHyperplaneClass:
         if mode == "collinear":
             return _PatternOracle(self._threshold_values(points), exact=False)
         if mode == "patterns":
-            return _PatternOracle(self._pattern_values(points), exact=True)
+            self._certify_patterns(points)
+            return _AllPatternsOracle(points.shape[0])
         raise DomainError(f"unknown oracle mode {mode!r}")
 
     def to_json(self):

@@ -7,7 +7,7 @@ draw and of every sin and interp evaluation; on another numpy or libm the
 hashes may legitimately differ.  Config files are not hashed: they record
 the output directory.  No hashed output may depend on the BLAS kernel that
 OpenBLAS picks for the CPU: a child process reruns the golden runs under a
-second kernel.
+second kernel, and another reruns the oracle and estimator tests there.
 """
 
 import hashlib
@@ -330,18 +330,35 @@ def _numpy_blas_is_openblas() -> bool:
     return "openblas" in str(blas.get("name", "")).lower()
 
 
-@pytest.mark.skipif(not _numpy_blas_is_openblas(),
-                    reason="numpy's BLAS is not OpenBLAS")
-def test_golden_runs_hold_under_a_second_blas_kernel():
-    """The sample and result hashes, rerun with OpenBLAS forced onto its
-    Prescott (SSE3) kernels; the variable acts on the child process only."""
+def _rerun_under_prescott(*tests):
+    """Run pytest on tests in a child process with OpenBLAS forced onto its
+    Prescott (SSE3) kernels; the variable acts on the child only."""
     src = str(Path(modalgap.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_CORETYPE="Prescott",
                PYTHONPATH=os.pathsep.join(
                    filter(None, [src, os.environ.get("PYTHONPATH")])))
-    module = Path(__file__).resolve()
-    runs = [f"{module}::test_sample_csv_hash", f"{module}::test_result_file_hashes"]
     child = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *runs],
-        env=env, capture_output=True, text=True, cwd=module.parent)
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+        env=env, capture_output=True, text=True, cwd=Path(__file__).resolve().parent)
     assert child.returncode == 0, child.stdout[-3000:] + child.stderr[-3000:]
+
+
+@pytest.mark.skipif(not _numpy_blas_is_openblas(),
+                    reason="numpy's BLAS is not OpenBLAS")
+def test_golden_runs_hold_under_a_second_blas_kernel():
+    """The sample and result hashes, rerun under the Prescott kernels."""
+    module = Path(__file__).resolve()
+    _rerun_under_prescott(f"{module}::test_sample_csv_hash",
+                          f"{module}::test_result_file_hashes")
+
+
+@pytest.mark.skipif(not _numpy_blas_is_openblas(),
+                    reason="numpy's BLAS is not OpenBLAS")
+def test_oracle_and_estimator_tests_hold_under_a_second_blas_kernel():
+    """tests/test_hypotheses.py and tests/test_complexity.py, rerun under
+    the Prescott kernels: their bitwise references must not depend on the
+    kernel either.  The child is started here, not from those files, so it
+    does not start itself again."""
+    here = Path(__file__).resolve().parent
+    _rerun_under_prescott(str(here / "test_hypotheses.py"),
+                          str(here / "test_complexity.py"))

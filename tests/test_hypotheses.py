@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -106,13 +107,17 @@ def test_sup_witness_scaling():
 
 def witness_reference(indices, row):
     """The per-draw witness value: sum the sigmas of each lattice index in
-    draw order, realize the sign pattern of the sums, and take sums . sin."""
+    draw order, realize the sign pattern of the sums, and take sums . sin,
+    its products added left to right."""
     unique = sorted(set(indices))
     sums = np.zeros(len(unique))
     np.add.at(sums, [unique.index(i) for i in indices], row)
     signs = [1 if s >= 0 else -1 for s in sums]
     cert = construct(signs, convention="sine-sign", indices=unique)
-    return float(np.dot(sums, np.array(cert.sine_values()))), sums, cert
+    value = 0.0
+    for s, sine in zip(sums.tolist(), cert.sine_values()):
+        value += s * sine
+    return value, sums, cert
 
 
 def _zero_lowest_group(indices, sigma):
@@ -204,7 +209,7 @@ def test_sine_predictor_support_restricted_lipschitz():
 
 
 def hyperplane_reference(cls, points, mode):
-    """The member-by-member value matrix: one HyperplanePredictor per
+    """The member-by-member value rows: one HyperplanePredictor per
     threshold cut or per certified sign pattern, scored point by point."""
     n = len(points)
     if mode == "collinear":
@@ -225,21 +230,49 @@ def hyperplane_reference(cls, points, mode):
     return np.array([[m.value(p) for p in points] for m in members])
 
 
+def member_sup(values, sigma):
+    """Per row of sigma, the largest sigma . f over the value rows f, each
+    member's products added left to right."""
+    totals = np.zeros((len(sigma), len(values)))
+    for i in range(sigma.shape[1]):
+        totals += sigma[:, i:i + 1] * values[:, i]
+    return totals.max(axis=1)
+
+
 def test_pattern_members_margin_certificate():
     cls = SmoothedHyperplaneClass(dim=4, epsilon=0.1)
     points = np.column_stack([np.array([0.3, -0.7, 0.2]), np.eye(3)])
-    values = cls.sup_oracle(points, mode="patterns").values
-    # every pattern hit exactly, in the order of itertools.product
+    oracle = cls.sup_oracle(points, mode="patterns")
+    assert oracle.exact and oracle.size == 3
+    # every pattern is certified, and its member's values are the pattern
+    # itself, in the order of itertools.product
+    reference = hyperplane_reference(cls, points, "patterns")
     patterns = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
-    assert np.array_equal(values, patterns)
-    assert np.array_equal(values, hyperplane_reference(cls, points, "patterns"))
+    assert np.array_equal(reference, patterns)
+    # ties, signed zeros, and terms that vanish beside a large one
+    sigma = np.array([[0.5, -0.5, 0.5], [0.0, -0.0, 0.0], [-0.0, -0.0, -0.0],
+                      [1e16, 1.0, -1.0], [1.0, -1.0, 1e16], [0.1, 0.2, 0.3],
+                      [-3.0, 5e-324, -2.5]])
+    values = oracle.batch(sigma)
+    assert np.array_equal(values, member_sup(reference, sigma))
+    assert values[3] == 1e16 and values[4] == 1e16 + 2.0
+
+
+def _sigma_rows(n):
+    """Rows of n sigmas with ties, signed zeros, subnormals and magnitudes
+    from 1e-300 to 1e300; a row's sum of |sigma| stays finite."""
+    entry = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 5e-324]),
+                      st.floats(-1e300, 1e300, allow_nan=False),
+                      st.floats(-10.0, 10.0, allow_nan=False))
+    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1,
+                    max_size=6)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(case=st.one_of(st.tuples(st.just("patterns"), st.integers(1, 8)),
+@given(case=st.one_of(st.tuples(st.just("patterns"), st.integers(1, 10)),
                       st.tuples(st.just("collinear"), st.integers(1, 12))),
-       wide=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_hyperplane_oracle_matches_member_reference(case, wide, seed):
+       wide=st.booleans(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_hyperplane_oracle_matches_member_reference(case, wide, seed, data):
     # the representation comparison's samples, with k = n or k = 16
     mode, n = case
     k = 16 if wide else n
@@ -248,7 +281,51 @@ def test_hyperplane_oracle_matches_member_reference(case, wide, seed):
     cls = SmoothedHyperplaneClass(1 + k, 1.0 / (10.0 * math.sqrt(k)))
     oracle = cls.sup_oracle(points, mode=mode)
     assert oracle.exact == (mode == "patterns")
-    assert np.array_equal(oracle.values, hyperplane_reference(cls, points, mode))
+    sigma = np.array(data.draw(_sigma_rows(n)))
+    values = oracle.batch(sigma)
+    expected = member_sup(hyperplane_reference(cls, points, mode), sigma)
+    if mode == "patterns":
+        # the bits of the best member, summed in the same order
+        assert np.array_equal(values, expected)
+    else:
+        # a BLAS product, so the same maximum up to its order of addition
+        slack = n * 2.0 ** -52 * np.abs(sigma).sum(axis=1) + 1e-300
+        assert np.all(np.abs(values - expected) <= slack)
+
+
+def test_pattern_oracle_memory_stays_linear_in_n():
+    # at n = 12 the 4,096 patterns are certified in blocks and none is kept:
+    # the build and one 4,096-row batch stay under 1 MB
+    _, adversarial = _representation_samples(12, 16, SeedSpec(3))
+    cls = SmoothedHyperplaneClass(17, 1.0 / 40.0)
+    sigma = np.random.default_rng(4).standard_normal((4096, 12))
+    tracemalloc.start()
+    try:
+        values = cls.sup_oracle(adversarial, mode="patterns").batch(sigma)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert values.shape == (4096,)
+
+
+def test_pattern_oracle_takes_lstsq_normals_of_norm_one():
+    # a pattern orthogonal to x has a least-squares normal of exact norm 1;
+    # on this sample lstsq returns two of them as 1 + 4.4e-16, which the
+    # oracle must pass by member()'s own unit-ball test
+    _, adversarial = _representation_samples(12, 16, SeedSpec(169).child("op", 121))
+    cls = SmoothedHyperplaneClass(17, 1.0 / 40.0)
+    normals = [np.linalg.lstsq(adversarial, np.array(p) / math.sqrt(12),
+                               rcond=None)[0]
+               for p in itertools.product((-1.0, 1.0), repeat=12)]
+    longest = max(normals, key=np.linalg.norm)
+    assert np.linalg.norm(longest) > 1.0
+    cls.member(longest, 0.0)
+    oracle = cls.sup_oracle(adversarial, mode="patterns")
+    sigma = np.random.default_rng(5).standard_normal((8, 12))
+    assert np.array_equal(oracle.batch(sigma),
+                          member_sup(np.array(list(itertools.product(
+                              (-1.0, 1.0), repeat=12))), sigma))
 
 
 def test_unsupported_oracles_raise():
@@ -263,6 +340,20 @@ def test_unsupported_oracles_raise():
         cls.sup_oracle(points[1:2], mode="auto")
     with pytest.raises(DomainError):
         SmoothedHyperplaneClass(dim=2, epsilon=0.0)
+
+
+def test_pattern_oracle_checks_every_block():
+    # ten points, the first two at cosine 1/2: a pattern with p1 != p2 needs
+    # a normal of norm sqrt(0.8 + 0.2/(1 - 1/2)) > 1.  Those patterns are
+    # the middle half of the 1,024, so every failing pattern lies past the
+    # first block and before the last
+    points = np.eye(10, 11)
+    points[1, :2] = (0.5, math.sqrt(0.75))
+    cls = SmoothedHyperplaneClass(dim=11, epsilon=0.01)
+    with pytest.raises(UnsupportedClassError):
+        cls.sup_oracle(points, mode="patterns")
+    points[1, :2] = (0.0, 1.0)
+    assert cls.sup_oracle(points, mode="patterns").exact
 
 
 def test_tabulated_predictor_first_copy_wins_and_zero_off_table():
