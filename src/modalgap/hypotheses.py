@@ -298,11 +298,11 @@ class _PatternOracle(SupOracle):
     """Supremum over an explicit matrix of member value vectors (C, n)."""
 
     BLOCK = 128
+    exact = False
 
-    def __init__(self, value_matrix: np.ndarray, exact: bool):
+    def __init__(self, value_matrix: np.ndarray):
         self.values = np.asarray(value_matrix, dtype=float)
         self.size = self.values.shape[1]
-        self.exact = exact
 
     def batch(self, sigma):
         out = np.empty(sigma.shape[0])
@@ -936,7 +936,7 @@ class SmoothedHyperplaneClass:
         if points.shape[1] != self.dim:
             raise DomainError("sample points have the wrong dimension")
         if mode == "collinear":
-            return _PatternOracle(self._threshold_values(points), exact=False)
+            return _PatternOracle(self._threshold_values(points))
         if mode == "patterns":
             self._certify_patterns(points)
             return _AllPatternsOracle(points.shape[0])

@@ -338,7 +338,8 @@ def _rerun_under_prescott(*tests):
                PYTHONPATH=os.pathsep.join(
                    filter(None, [src, os.environ.get("PYTHONPATH")])))
     child = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-p", "no:benchmark", *tests],
         env=env, capture_output=True, text=True, cwd=Path(__file__).resolve().parent)
     assert child.returncode == 0, child.stdout[-3000:] + child.stderr[-3000:]
 

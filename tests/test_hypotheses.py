@@ -283,12 +283,15 @@ def test_hyperplane_oracle_matches_member_reference(case, wide, seed, data):
     assert oracle.exact == (mode == "patterns")
     sigma = np.array(data.draw(_sigma_rows(n)))
     values = oracle.batch(sigma)
-    expected = member_sup(hyperplane_reference(cls, points, mode), sigma)
+    reference = hyperplane_reference(cls, points, mode)
+    expected = member_sup(reference, sigma)
     if mode == "patterns":
         # the bits of the best member, summed in the same order
         assert np.array_equal(values, expected)
     else:
-        # a BLAS product, so the same maximum up to its order of addition
+        # the threshold members' values bit for bit; the batch is a BLAS
+        # product, so its maximum matches up to the order of addition
+        assert np.array_equal(oracle.values, reference)
         slack = n * 2.0 ** -52 * np.abs(sigma).sum(axis=1) + 1e-300
         assert np.all(np.abs(values - expected) <= slack)
 
