@@ -67,7 +67,8 @@ def _predictions(solution, t: int, instance, block):
 
     A unimodal member maps all rows in one call.  A composed solution goes
     through exact range reduction when both sides carry exact parameters,
-    decided once per block, and row by row otherwise.
+    decided once per block, and row by row otherwise; a task past its
+    predictors raises DomainError.
     """
     if isinstance(solution, UnimodalSolution):
         member = solution.member
@@ -81,7 +82,11 @@ def _predictions(solution, t: int, instance, block):
                     raise _at_row(first, block, i) from first
             raise
     predictors = solution.predictors
-    predictor = predictors[t] if t < len(predictors) else predictors[0]
+    if t >= len(predictors):
+        tasks = getattr(instance, "task_count", None) or 1
+        raise DomainError(f"the instance has {tasks} tasks, but the solution "
+                          f"has predictors for {len(predictors)}")
+    predictor = predictors[t]
     connection = solution.connection
     if (isinstance(instance, SineInstance) and instance.witness is not None
             and isinstance(predictor, SinePredictor)
@@ -564,9 +569,11 @@ def _representation_samples(n: int, k: int, seed: SeedSpec):
     separates."""
     rng = seed.child("sample").generator()
     v = rng.standard_normal(k)
-    v *= 0.9 / np.linalg.norm(v)
+    # lengths as math.fsum, correctly rounded: a BLAS norm's bits follow
+    # the CPU's kernel
+    v *= 0.9 / math.sqrt(math.fsum(v * v))
     y0 = rng.standard_normal(k)
-    y0 *= 0.05 / np.linalg.norm(y0)
+    y0 *= 0.05 / math.sqrt(math.fsum(y0 * y0))
     xs = rng.uniform(-1.0, 1.0, size=n)
     while len(np.unique(xs)) != n:
         xs = rng.uniform(-1.0, 1.0, size=n)

@@ -73,7 +73,7 @@ _CLASSES = {"scaling": ScalingClass(), "signed-scaling": ScalingClass(signed=Tru
 def _class(name: str, connection: bool = False):
     """The class called name; with connection=True, only a connection class."""
     cls = _CLASSES.get(name)
-    if cls is None or (connection and not hasattr(cls, "fit_connection")):
+    if cls is None or (connection and not hasattr(cls, "joint_candidates")):
         kind = "connection class" if connection else "class"
         raise DomainError(f"unknown {kind} {name!r}")
     return cls

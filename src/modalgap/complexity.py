@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DomainError, SeedSpec, UnsupportedClassError
+from .core import ABSOLUTE, DomainError, SeedSpec, UnsupportedClassError
 
 CHUNK = 4096
 
@@ -119,18 +119,25 @@ class RealizabilityReport:
 
 
 def approximate_realizability(cls, xs, ys) -> RealizabilityReport:
-    """min over the class of the mean residual |g(x_i) - y_i|, solved
-    exactly by the class's own fit_connection (scaling: the weighted-median
-    LAD; boolean maps: the four tables)."""
-    xs = np.asarray(xs, dtype=float)
+    """min over a connection class of the mean residual |g(x_i) - y_i|.
+
+    A connection class is one with joint_candidates (scaling, signed
+    scaling, boolean maps).  Its own x-only ERM fit_x under the absolute
+    loss solves the minimum exactly (scaling: the weighted-median LAD;
+    boolean maps: the first of the four tables with the least mean), and
+    this fit is also stage 1 of the two-stage ERM.  A connection maps x into
+    R, so y has one column.
+    """
+    xs = np.asarray(xs, dtype=float).reshape(-1)
     ys = np.asarray(ys, dtype=float)
     if xs.size == 0:
         raise DomainError("empty sample")
-
-    fit = getattr(cls, "fit_connection", None)
-    if fit is None:
-        raise UnsupportedClassError(f"{cls!r} has no ERM sub-oracle")
-    member, residuals = fit(xs, ys)
-    residuals = np.asarray(residuals, dtype=float)
+    if not hasattr(cls, "joint_candidates"):
+        raise UnsupportedClassError(f"{cls!r} is not a connection class")
+    if ys.ndim > 1 and ys.shape[1] != 1:
+        raise DomainError(f"the class maps x into R, but y has {ys.shape[1]} columns")
+    ys = ys.reshape(-1)
+    member = cls.fit_x(xs, ys, ABSOLUTE, grid_points=100_000).member
+    residuals = np.abs(member.map(xs) - ys)
     return RealizabilityReport(value=float(np.mean(residuals)), witness=member,
                                residuals=residuals)

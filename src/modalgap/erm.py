@@ -20,6 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .complexity import approximate_realizability
 from .core import (Block, DegenerateDataError, DomainError, Loss, CLIPPED_ABS,
                    MultiSample, UnsupportedClassError)
 # UnimodalSolution and _grid_erm live with the classes that fit them; they
@@ -74,9 +75,10 @@ def _witness_backed(sample) -> bool:
 
 
 def _stage1(unlabeled: MultiSample, connection_cls):
-    """Pooled connection fit.  Witness-backed lattice samples go through the
-    exact-rational LAD (the float emission of y loses the deep-lattice
-    parameter, so recovery must happen on the exact side)."""
+    """Pooled connection fit: the realizability ERM of the class.
+    Witness-backed lattice samples go through the exact-rational LAD (the
+    float emission of y loses the deep-lattice parameter, so recovery must
+    happen on the exact side)."""
     if isinstance(connection_cls, ScalingClass) and _witness_backed(unlabeled):
         inst = unlabeled.instance
         pairs = []
@@ -90,8 +92,8 @@ def _stage1(unlabeled: MultiSample, connection_cls):
         residual = float(sum(abs(tau * x - y) for x, y in pairs)) / (2.0 * math.pi)
         return member, residual / len(pairs), {"stage1": "exact-lad"}
     xs, ys = unlabeled.pooled_xy()
-    member, residuals = connection_cls.fit_connection(xs[:, 0], ys)
-    return member, float(np.mean(residuals)), {"stage1": "float"}
+    report = approximate_realizability(connection_cls, xs[:, 0], ys)
+    return report.witness, report.value, {"stage1": "float"}
 
 
 def fit_multimodal(labeled: MultiSample, unlabeled: MultiSample,

@@ -19,8 +19,10 @@ branch on its type:
   builds one certificate per distinct sign pattern of a batch.
 - closed_form_gaussian(sample) / closed_form_rademacher(sample): the
   analytic average, defined only on the classes that have one.
-- fit_connection(xs, ys) and joint_candidates(per_eval, budget): the
-  connection fit and the candidates of the joint search.
+- joint_candidates(per_eval, budget): the candidates of the joint search.
+  A class with it is a connection class (scaling, boolean maps), and its
+  fit_x under the absolute loss is the connection fit of
+  complexity.approximate_realizability and of stage 1.
 
 Every connection member is called as member.map(x).
 """
@@ -143,7 +145,9 @@ class HyperplanePredictor:
     epsilon: float
 
     def value(self, point: np.ndarray) -> float:
-        return float(_smoothed_sign(float(np.dot(self.v, point)) - self.c,
+        """The projection p.v is a math.fsum, correctly rounded, so no BLAS
+        kernel sets its bits."""
+        return float(_smoothed_sign(math.fsum(self.v * point) - self.c,
                                     self.epsilon))
 
     def predict(self, x, y) -> float:
@@ -278,7 +282,8 @@ class _SignCompleteOracle(SupOracle):
 
     Copies of one point share a value, so with repeated points the sum runs
     over the groups of copies: bound * sum_g |sum_{i in g} sigma_i|, each
-    group summed in draw order.  Distinct points skip the grouping.
+    group summed in draw order and the groups added left to right.  Distinct
+    points skip the grouping.
     """
 
     def __init__(self, slot: np.ndarray, groups: int, bound: float):
@@ -291,13 +296,18 @@ class _SignCompleteOracle(SupOracle):
     def batch(self, sigma):
         if self._groups != self.size:
             sigma = _sum_copies(sigma, self._slot, self._groups)
-        return self.bound * np.abs(sigma).sum(axis=1)
+        return self.bound * _column_sum(np.abs(sigma))
 
 
 class _PatternOracle(SupOracle):
-    """Supremum over an explicit matrix of member value vectors (C, n)."""
+    """Supremum over an explicit matrix of member value vectors (C, n).
 
-    BLOCK = 128
+    Per member, sigma . f adds its products left to right from +0.0, as
+    _column_sum does, and a running maximum keeps the best member: no BLAS
+    product sets the bits, and no (rows x members) or (rows x n) array is
+    built.
+    """
+
     exact = False
 
     def __init__(self, value_matrix: np.ndarray):
@@ -305,26 +315,13 @@ class _PatternOracle(SupOracle):
         self.size = self.values.shape[1]
 
     def batch(self, sigma):
-        out = np.empty(sigma.shape[0])
-        # block the rows so candidate matmuls stay within a bounded footprint
-        for lo in range(0, sigma.shape[0], self.BLOCK):
-            hi = min(lo + self.BLOCK, sigma.shape[0])
-            out[lo:hi] = (sigma[lo:hi] @ self.values.T).max(axis=1)
-        return out
-
-
-class _AllPatternsOracle(SupOracle):
-    """Every sign pattern is a certified member's values, so the supremum is
-    sum |sigma_i|; rounded addition is monotone, so it has the bits of the
-    best pattern summed in the same order."""
-
-    exact = True
-
-    def __init__(self, size: int):
-        self.size = size
-
-    def batch(self, sigma):
-        return _column_sum(np.abs(sigma))
+        best = np.full(len(sigma), -np.inf)
+        for member in self.values.tolist():
+            total = np.zeros(len(sigma))
+            for column, value in zip(sigma.T, member):
+                total += column * value
+            np.maximum(best, total, out=best)
+        return best
 
 
 class _ShatterWitnessOracle(SupOracle):
@@ -510,14 +507,6 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
-def _scalar_pairs(xs, ys):
-    """x and y as flat float vectors; a connection into R reads one y column."""
-    ys = np.asarray(ys, dtype=float)
-    if ys.ndim > 1 and ys.shape[1] != 1:
-        raise DomainError(f"the class maps x into R, but y has {ys.shape[1]} columns")
-    return np.asarray(xs, dtype=float).reshape(-1), ys.reshape(-1)
-
-
 def fit_scaling_lad(xs, ys, signed: bool = False):
     """Least-absolute-deviations fit of y ~ theta*x, solved exactly as the
     |x|-weighted median of the ratios y/x, then clamped to the domain.
@@ -578,11 +567,6 @@ class ScalingClass:
     signed: bool = False
 
     oracle_input = _reads_x
-
-    def fit_connection(self, xs, ys):
-        xs, ys = _scalar_pairs(xs, ys)
-        theta = fit_scaling_lad(xs, ys, signed=self.signed)
-        return ScalingConnection(theta), np.abs(theta * xs - ys)
 
     def fit_x(self, xs, zs, loss: Loss, grid_points: int):
         """The exact weighted-median LAD under plain absolute loss, the
@@ -645,17 +629,6 @@ class BooleanMapClass:
 
     def joint_candidates(self, per_eval: int, budget: int):
         return self.members(), 1e-12, False
-
-    def fit_connection(self, xs, ys):
-        xs, ys = _scalar_pairs(xs, ys)
-        best = None
-        # lexicographic enumeration; strict improvement keeps the smallest table
-        for table in _ALL_TABLES:
-            pred = np.where(xs >= 0.5, float(table[1]), float(table[0]))
-            value = float(np.abs(pred - ys).sum())
-            if best is None or value < best[0]:
-                best = (value, table, np.abs(pred - ys))
-        return BooleanConnection(best[1]), best[2]
 
     def sup_oracle(self, sample):
         return _BooleanMapOracle(sample)
@@ -851,8 +824,9 @@ class SmoothedHyperplaneClass:
     The sup oracle takes one of two modes the caller names: "collinear",
     the value matrix of the n+1 rising thresholds along the line of a
     collinear sample (a certified lower bound), or "patterns", which
-    certifies all 2^n sign patterns at margin >= eps; the supremum is then
-    exactly sum |sigma_i|, the outright maximum over [-1,1]^n.
+    certifies all 2^n sign patterns at margin >= eps; the class is then
+    sign-complete on the sample, and the sign-complete oracle gives the
+    supremum sum |sigma_i|, the outright maximum over [-1,1]^n.
     """
 
     dim: int
@@ -877,34 +851,36 @@ class SmoothedHyperplaneClass:
         return HyperplanePredictor(v, float(c), self.epsilon)
 
     def _collinear_direction(self, points):
+        """The unit direction of the line through a sample, or None when a
+        point lies more than 1e-9 off it.  Every length and projection is a
+        math.fsum, correctly rounded, so no BLAS kernel sets its bits."""
         centered = points - points.mean(axis=0)
-        norms = np.linalg.norm(centered, axis=1)
-        lead = centered[int(np.argmax(norms))]
-        if np.linalg.norm(lead) == 0:
+        lengths = [math.sqrt(math.fsum(row * row)) for row in centered]
+        lead = int(np.argmax(lengths))
+        if lengths[lead] == 0:
             # single point (or all coincident): any direction will do
             u = np.zeros(points.shape[1])
             u[0] = 1.0
             return u
-        u = lead / np.linalg.norm(lead)
-        residual = centered - np.outer(centered @ u, u)
-        if np.max(np.linalg.norm(residual, axis=1)) > 1e-9:
+        u = centered[lead] / lengths[lead]
+        residual = centered - np.outer([math.fsum(u * row) for row in centered], u)
+        if max(math.sqrt(math.fsum(row * row)) for row in residual) > 1e-9:
             return None
         return u
 
     def _threshold_values(self, points):
         """Values of the rising threshold members sign(t - c) (+1 past the
         cut) along a collinear sample, one per cut between consecutive points
-        and one beyond each end: a feasible witness collection."""
+        and one beyond each end: a feasible witness collection.  Each
+        projection t is computed once, as a member scores it."""
         u = self._collinear_direction(points)
         if u is None:
             raise DomainError("threshold members need a collinear sample")
-        spots = np.sort(points @ u)
+        t = np.array([math.fsum(u * p) for p in points])
+        spots = np.sort(t)
         cuts = np.concatenate([[spots[0] - 1.0],
                                (spots[:-1] + spots[1:]) / 2.0,
                                [spots[-1] + 1.0]])
-        # one np.dot per point, as a member scores it: points @ u can differ
-        # in the last bit
-        t = np.array([np.dot(u, p) for p in points])
         return _smoothed_sign(t - cuts[:, None], self.epsilon)
 
     def _certify_patterns(self, points):
@@ -939,7 +915,7 @@ class SmoothedHyperplaneClass:
             return _PatternOracle(self._threshold_values(points))
         if mode == "patterns":
             self._certify_patterns(points)
-            return _AllPatternsOracle(points.shape[0])
+            return SignCompleteClass().sup_oracle(points)
         raise DomainError(f"unknown oracle mode {mode!r}")
 
     def to_json(self):
@@ -1016,23 +992,3 @@ class XOnlyPredictorClass:
 
     def to_json(self):
         return {"class": "x-only", "inner": self.inner.to_json()}
-
-
-def measured_lipschitz(predict, support_sampler, pairs: int = 10**4,
-                       seed: int = 0) -> float:
-    """Largest difference quotient of a predictor over random support pairs.
-
-    The declared class constant must upper-bound this measurement; used by
-    the audit tests, not by the estimators themselves.
-    """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(pairs):
-        p1 = support_sampler(rng)
-        p2 = support_sampler(rng)
-        gap = np.linalg.norm(np.asarray(p1, float) - np.asarray(p2, float))
-        if gap == 0:
-            continue
-        quotient = abs(predict(p1) - predict(p2)) / gap
-        worst = max(worst, quotient)
-    return worst

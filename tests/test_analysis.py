@@ -69,6 +69,17 @@ def test_boolean_composition_excess_at_least_half():
     assert report.excess >= 0.5
 
 
+def test_excess_risk_refuses_a_task_past_the_solution():
+    # a 2-task fit scored on a 4-task instance: tasks 2 and 3 have no
+    # predictor of their own
+    labeled = draw_labeled(make_boolean(((0, 1), (1, 0))), 2, 8, SEED)
+    unlabeled = draw_unlabeled(make_boolean(((0, 1), (1, 0))), 2, 8, SEED)
+    sol = fit_multimodal(labeled, unlabeled, BooleanMapClass(), BooleanLookupClass())
+    wider = make_boolean(((0, 1), (1, 0), (1, 0), (0, 1)))
+    with pytest.raises(DomainError, match="4 tasks.*predictors for 2"):
+        excess_risk(sol, wider, BooleanLookupClass(), ABSOLUTE)
+
+
 def test_unimodal_population_failure_on_shattered_support():
     inst = make_sine_shattered([1, -1, 1, -1, 1, -1, 1, -1])
     labeled = draw_labeled(inst, 1, 2, SEED)

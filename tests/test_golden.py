@@ -12,6 +12,7 @@ second kernel, and another reruns the oracle and estimator tests there.
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -23,8 +24,10 @@ import pytest
 
 import modalgap
 
+from modalgap.analysis import _representation_samples
 from modalgap.cli import build_parser, main
 from modalgap.core import SeedSpec, draw_labeled, draw_unlabeled, sample_to_csv
+from modalgap.hypotheses import SmoothedHyperplaneClass
 from modalgap.instances import (instance_to_json, make_boolean,
                                 make_separable_from_fixed_points, make_sine,
                                 make_sine_shattered, make_subspace,
@@ -325,6 +328,31 @@ def test_result_file_hashes(tmp_path, run):
     assert written == RESULT_HASHES[run]
 
 
+# criterion 8's collinear side: the points and line directions of 1,000
+# samples of representation_comparison, and one oracle's values and batch
+COLLINEAR_SAMPLES_HASH = "16c97f770444d8c480d0889c993398df80ed5c8dc50e226e032039d521ca71ee"
+COLLINEAR_ORACLE_HASH = "143c3110c1b3e3b1459affa5408f2ab28bfedbfb277ec70e7ddfeb86b04674c6"
+
+
+def test_collinear_sample_hash():
+    digest = hashlib.sha256()
+    for n, k in ((6, 8), (8, 16), (12, 16), (16, 16), (20, 32)):
+        cls = SmoothedHyperplaneClass(1 + k, 1.0 / (10.0 * math.sqrt(k)))
+        for seed in range(200):
+            points, _ = _representation_samples(n, k, SeedSpec(seed))
+            digest.update(points.tobytes())
+            digest.update(cls._collinear_direction(points).tobytes())
+    assert digest.hexdigest() == COLLINEAR_SAMPLES_HASH
+
+
+def test_collinear_oracle_hash():
+    points, _ = _representation_samples(10, 16, SeedSpec(3))
+    oracle = SmoothedHyperplaneClass(17, 1.0 / 40.0).sup_oracle(points, mode="collinear")
+    sigma = SeedSpec(3).child("sigma").generator().standard_normal((4096, 10))
+    assert sha(oracle.values.tobytes() + oracle.batch(sigma).tobytes()) == \
+        COLLINEAR_ORACLE_HASH
+
+
 def _numpy_blas_is_openblas() -> bool:
     blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
     return "openblas" in str(blas.get("name", "")).lower()
@@ -347,10 +375,13 @@ def _rerun_under_prescott(*tests):
 @pytest.mark.skipif(not _numpy_blas_is_openblas(),
                     reason="numpy's BLAS is not OpenBLAS")
 def test_golden_runs_hold_under_a_second_blas_kernel():
-    """The sample and result hashes, rerun under the Prescott kernels."""
+    """The sample, result and collinear hashes, rerun under the Prescott
+    kernels."""
     module = Path(__file__).resolve()
     _rerun_under_prescott(f"{module}::test_sample_csv_hash",
-                          f"{module}::test_result_file_hashes")
+                          f"{module}::test_result_file_hashes",
+                          f"{module}::test_collinear_sample_hash",
+                          f"{module}::test_collinear_oracle_hash")
 
 
 @pytest.mark.skipif(not _numpy_blas_is_openblas(),

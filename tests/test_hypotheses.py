@@ -11,15 +11,17 @@ from hypothesis import given, settings, strategies as st
 
 from modalgap import shatter
 from modalgap.analysis import _representation_samples
+from modalgap.complexity import approximate_realizability
 from modalgap.core import (ABSOLUTE, CLIPPED_ABS, Block, DegenerateDataError,
-                           DomainError, SeedSpec, SingularityError,
-                           UnsupportedClassError, loss_eval)
+                           DomainError, MultiSample, SeedSpec,
+                           SingularityError, UnsupportedClassError, loss_eval)
+from modalgap.erm import _stage1
 from modalgap.hypotheses import (BooleanMapClass, ComposedSineClass,
                                  ScalingClass, ScalingConnection,
                                  SignCompleteClass, SinePredictor,
                                  SineSingletonClass, SmoothedHyperplaneClass,
                                  TabulatedPredictor, fit_scaling_lad,
-                                 fit_scaling_lad_exact, measured_lipschitz)
+                                 fit_scaling_lad_exact)
 from modalgap.shatter import construct
 
 
@@ -83,20 +85,94 @@ def test_lad_exact_matches_float_on_rationals():
 
 def test_boolean_fit_examples_and_exhaustive_audit():
     cls = BooleanMapClass()
-    member, residuals = cls.fit_connection([0, 0, 1], [0, 0, 1])
-    assert member.table == (0, 1) and residuals.sum() == 0.0
-    _, residuals = cls.fit_connection([0, 0], [0, 1])
-    assert residuals.sum() == 1.0   # any table errs once; R contribution 1/2
+    report = approximate_realizability(cls, [0, 0, 1], [0, 0, 1])
+    assert report.witness.table == (0, 1) and report.residuals.sum() == 0.0
+    report = approximate_realizability(cls, [0, 0], [0, 1])
+    assert report.residuals.sum() == 1.0   # any table errs once; R = 1/2
     rng = np.random.default_rng(3)
     for _ in range(50):
         n = int(rng.integers(1, 20))
         xs = rng.integers(0, 2, size=n)
         ys = rng.integers(0, 2, size=n)
-        best = cls.fit_connection(xs, ys)[1].sum()
+        best = approximate_realizability(cls, xs, ys).residuals.sum()
         exhaustive = min(
             sum(abs((t1 if x else t0) - y) for x, y in zip(xs, ys))
             for t0 in (0, 1) for t1 in (0, 1))
         assert best == exhaustive
+
+
+def scaling_connection_reference(xs, ys, signed):
+    """The scaling connection fit as it stood on its own: the weighted-median
+    LAD theta and the residuals |theta x - y|."""
+    theta = fit_scaling_lad(xs, ys, signed=signed)
+    return ScalingConnection(theta), np.abs(theta * xs - ys)
+
+
+def boolean_connection_reference(xs, ys):
+    """The boolean connection fit as it stood on its own: the four tables in
+    lexicographic order, where only a strictly smaller total residual wins."""
+    best = None
+    for table in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        residuals = np.abs(np.where(xs >= 0.5, float(table[1]), float(table[0])) - ys)
+        if best is None or float(residuals.sum()) < best[0]:
+            best = (float(residuals.sum()), table, residuals)
+    return best[1], best[2]
+
+
+def _connection_fits(cls, xs, ys):
+    """(witness, value, residuals) of approximate_realizability, and
+    (witness, value) of stage 1 on the same pairs as one unlabeled block."""
+    report = approximate_realizability(cls, xs, ys)
+    witness, value, provenance = _stage1(
+        MultiSample(tasks=(Block(x=xs, y=ys),)), cls)
+    assert provenance == {"stage1": "float"}
+    return report, witness, value
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(1, 12), signed=st.booleans())
+def test_scaling_realizability_and_stage1_are_the_lad_fit(data, n, signed):
+    # x and y from a few values, so that ratios tie, beside arbitrary floats
+    value = st.one_of(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, -0.5, 0.3]),
+                      st.floats(-4.0, 4.0).filter(lambda v: abs(v) >= 1e-3))
+    xs = np.array(data.draw(st.lists(value, min_size=n, max_size=n)))
+    ys = np.array(data.draw(st.lists(value, min_size=n, max_size=n)))
+    cls = ScalingClass(signed=signed)
+    if not np.any(xs != 0.0):
+        with pytest.raises(DegenerateDataError):
+            approximate_realizability(cls, xs, ys)
+        return
+    member, residuals = scaling_connection_reference(xs, ys, signed)
+    report, witness, value = _connection_fits(cls, xs, ys)
+    assert report.witness == witness == member
+    assert np.array_equal(report.residuals, residuals)
+    assert report.value == value == float(np.mean(residuals))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(rows=st.lists(st.tuples(st.sampled_from([0.0, 1.0, 0.25, 0.75]),
+                               st.sampled_from([0.0, 1.0])),
+                     min_size=1, max_size=16))
+def test_boolean_realizability_and_stage1_are_the_table_enumeration(rows):
+    # 0/1 labels; a tie between tables goes to the first in lexicographic order
+    xs, ys = (np.array(col) for col in zip(*rows))
+    table, residuals = boolean_connection_reference(xs, ys)
+    report, witness, value = _connection_fits(BooleanMapClass(), xs, ys)
+    assert report.witness.table == witness.table == table
+    assert np.array_equal(report.residuals, residuals)
+    assert report.value == value == float(np.mean(residuals))
+
+
+def test_connection_fits_refuse_other_classes_and_wide_y():
+    xs = np.array([0.5, 1.0])
+    ys = np.array([[0.1, 0.2], [0.3, 0.4]])
+    for cls in (ScalingClass(), BooleanMapClass()):
+        with pytest.raises(DomainError, match="2 columns"):
+            approximate_realizability(cls, xs, ys)
+        with pytest.raises(DomainError, match="2 columns"):
+            _stage1(MultiSample(tasks=(Block(x=xs, y=ys),)), cls)
+    with pytest.raises(UnsupportedClassError):
+        approximate_realizability(SignCompleteClass(), xs, ys[:, 0])
 
 
 def test_sup_witness_scaling():
@@ -179,6 +255,23 @@ def test_sup_witness_feasibility_vs_enumeration():
         assert value == pytest.approx(max(enumerated), abs=1e-12)
 
 
+def measured_lipschitz(predict, support_sampler, pairs: int = 10**4,
+                       seed: int = 0) -> float:
+    """Largest difference quotient of a predictor over random support pairs;
+    the declared class constant must upper-bound it."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(pairs):
+        p1 = support_sampler(rng)
+        p2 = support_sampler(rng)
+        gap = np.linalg.norm(np.asarray(p1, float) - np.asarray(p2, float))
+        if gap == 0:
+            continue
+        quotient = abs(predict(p1) - predict(p2)) / gap
+        worst = max(worst, quotient)
+    return worst
+
+
 def test_smoothed_hyperplane_lipschitz_measurement():
     eps = 0.05
     cls = SmoothedHyperplaneClass(dim=3, epsilon=eps)
@@ -214,7 +307,7 @@ def hyperplane_reference(cls, points, mode):
     n = len(points)
     if mode == "collinear":
         u = cls._collinear_direction(points)
-        spots = np.sort(points @ u)
+        spots = np.sort([math.fsum(u * p) for p in points])
         cuts = np.concatenate([[spots[0] - 1.0], (spots[:-1] + spots[1:]) / 2.0,
                                [spots[-1] + 1.0]])
         members = [cls.member(u, c) for c in cuts]
@@ -284,16 +377,11 @@ def test_hyperplane_oracle_matches_member_reference(case, wide, seed, data):
     sigma = np.array(data.draw(_sigma_rows(n)))
     values = oracle.batch(sigma)
     reference = hyperplane_reference(cls, points, mode)
-    expected = member_sup(reference, sigma)
-    if mode == "patterns":
-        # the bits of the best member, summed in the same order
-        assert np.array_equal(values, expected)
-    else:
-        # the threshold members' values bit for bit; the batch is a BLAS
-        # product, so its maximum matches up to the order of addition
+    # the bits of the best member, its products added in the same order
+    assert np.array_equal(values, member_sup(reference, sigma))
+    if mode == "collinear":
+        # the threshold members' values bit for bit
         assert np.array_equal(oracle.values, reference)
-        slack = n * 2.0 ** -52 * np.abs(sigma).sum(axis=1) + 1e-300
-        assert np.all(np.abs(values - expected) <= slack)
 
 
 def test_pattern_oracle_memory_stays_linear_in_n():
