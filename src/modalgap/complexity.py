@@ -125,8 +125,10 @@ def approximate_realizability(cls, xs, ys) -> RealizabilityReport:
     scaling, boolean maps).  Its own x-only ERM fit_x under the absolute
     loss solves the minimum exactly (scaling: the weighted-median LAD;
     boolean maps: the first of the four tables with the least mean), and
-    this fit is also stage 1 of the two-stage ERM.  A connection maps x into
-    R, so y has one column.
+    this fit is also stage 1 of the two-stage ERM.  Boolean tables are
+    compared by their means: on labels outside {0, 1}, two totals that differ
+    in the last bit can round to one mean, and then the earlier table wins.
+    A connection maps x into R, so y has one column.
     """
     xs = np.asarray(xs, dtype=float).reshape(-1)
     ys = np.asarray(ys, dtype=float)

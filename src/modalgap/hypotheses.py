@@ -620,7 +620,8 @@ class BooleanMapClass:
         return [BooleanConnection(t) for t in _ALL_TABLES]
 
     def fit_x(self, xs, zs, loss: Loss, grid_points: int):
-        """Enumeration of the four tables; the first minimum wins."""
+        """Enumeration of the four tables; the first least mean wins, also
+        where the totals differ but round to one mean."""
         members = self.members()
         values = [float(_clipped_mean_losses(m.map(xs), zs, loss)) for m in members]
         best = int(np.argmin(values))

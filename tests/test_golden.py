@@ -188,6 +188,11 @@ RUNS = {
         "--resamples", "3", "--seed", "8", "--workers", "3"],
     "gaussavg-boolean": lambda tmp: [
         "gaussavg", "--cls", "boolean", "--points", "0,1,1,0", "--draws", "500"],
+    # 21 distinct points: numpy's pairwise sum would add |sigma| in another
+    # order than the oracle's left-to-right sum
+    "gaussavg-sign-complete": lambda tmp: [
+        "gaussavg", "--cls", "sign-complete",
+        "--points", ",".join(str(i / 21) for i in range(21)), "--draws", "500"],
     "fit-unimodal-subspace": lambda tmp: [
         "fit-unimodal", "--instance", _json_file(tmp, SUBSPACE_1), "--cls", "scaling"],
     "fit-joint-subspace": lambda tmp: [
@@ -298,6 +303,10 @@ RESULT_HASHES = {
     "gaussavg-boolean": {
         "estimate.json":
             "a5abb904be6098ae777b8b5fe53082e36a67f4d86c536830b4eb89c936e8290c",
+    },
+    "gaussavg-sign-complete": {
+        "estimate.json":
+            "01d8d59c553a1727742ce3ec31bd472f5f31afe21c668f908364cbb20db77529",
     },
     "fit-unimodal-subspace": {
         "solution.json":

@@ -163,6 +163,33 @@ def test_boolean_realizability_and_stage1_are_the_table_enumeration(rows):
     assert report.value == value == float(np.mean(residuals))
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(rows=st.lists(st.tuples(st.sampled_from([0.0, 1.0]),
+                               st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9, 1 / 3])),
+                     min_size=1, max_size=8))
+def test_boolean_realizability_takes_the_first_least_mean(rows):
+    # labels outside {0, 1}: tables are compared by their mean residual, so
+    # the value is the deleted fit's mean, and a tie on means (totals may
+    # still differ in the last bit) goes to the earlier table
+    xs, ys = (np.array(col) for col in zip(*rows))
+    means = [float(np.mean(np.abs(np.where(xs >= 0.5, float(t1), float(t0)) - ys)))
+             for t0, t1 in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    first = ((0, 0), (0, 1), (1, 0), (1, 1))[means.index(min(means))]
+    _, residuals = boolean_connection_reference(xs, ys)
+    report, witness, value = _connection_fits(BooleanMapClass(), xs, ys)
+    assert report.witness.table == witness.table == first
+    assert report.value == value == min(means) == float(np.mean(residuals))
+
+
+def test_boolean_tie_on_means_goes_to_the_earlier_table():
+    # totals 1.9000000000000001 for (1, 0) and 1.9 for (1, 1): one mean 0.38
+    xs = np.array([0.0, 1.0, 0.0, 1.0, 1.0])
+    ys = np.array([0.9, 0.7, 0.7, 0.3, 0.5])
+    assert boolean_connection_reference(xs, ys)[0] == (1, 1)
+    report = approximate_realizability(BooleanMapClass(), xs, ys)
+    assert report.witness.table == (1, 0) and report.value == 0.38
+
+
 def test_connection_fits_refuse_other_classes_and_wide_y():
     xs = np.array([0.5, 1.0])
     ys = np.array([[0.1, 0.2], [0.3, 0.4]])
