@@ -19,7 +19,8 @@ branch on its type:
   builds one certificate per distinct sign pattern of a batch.
 - closed_form_gaussian(sample) / closed_form_rademacher(sample): the
   analytic average, defined only on the classes that have one.
-- joint_candidates(per_eval, budget): the candidates of the joint search.
+- joint_candidates(per_eval, budget): the candidates of the joint search,
+  an iterable read once.
   A class with it is a connection class (scaling, boolean maps), and its
   fit_x under the absolute loss is the connection fit of
   complexity.approximate_realizability and of stage 1.
@@ -388,15 +389,18 @@ def _grid_erm(objective, grid_points: int):
     """Dense grid over (0, 1]; the first minimum wins.
 
     objective maps a 1-D array of thetas to one value per theta; the grid
-    hands it blocks of 8192 thetas.  The objective may be violently
-    oscillatory, so the recorded resolution is part of the result.
+    hands it blocks of 8192 thetas, each built from its own integer range,
+    so the memory does not grow with grid_points.  The objective may be
+    violently oscillatory, so the recorded resolution is part of the result.
     """
-    thetas = np.arange(1, grid_points + 1, dtype=float) / grid_points
+    if grid_points < 1:
+        raise DomainError("the grid needs at least one point")
     best_val = math.inf
-    best_theta = thetas[-1]
+    best_theta = 1.0
     block = 8192
     for lo in range(0, grid_points, block):
-        chunk = thetas[lo:lo + block]
+        chunk = np.arange(lo + 1, min(lo + block, grid_points) + 1, dtype=float)
+        chunk /= grid_points
         vals = objective(chunk)
         j = int(np.argmin(vals))
         if vals[j] < best_val:
@@ -455,7 +459,8 @@ def _row_mean(d):
 def _grid_objective(values, xs, zs, loss):
     """The mean loss over the rows (xs, zs) of the members whose predictions
     are values(theta * x), elementwise, as a map from a 1-D array of thetas
-    to one mean per theta.
+    to one mean per theta.  values gets a (distinct x, thetas) array of its
+    own and may write its result into it.
 
     values runs once per distinct x, on a row that runs along the thetas,
     and |prediction - z| and the clip run on those long rows.  The mean is
@@ -581,11 +586,12 @@ class ScalingClass:
 
     def joint_candidates(self, per_eval: int, budget: int):
         """Grid over (0, 1] sized to the evaluation budget, as (members,
-        zero-loss tolerance, whether the budget cut the grid short).  An
+        zero-loss tolerance, whether the budget cut the grid short).  The
+        members are made one at a time, as the search reads them.  An
         off-grid zero-loss parameter shows up at the grid resolution."""
         affordable = budget // max(per_eval, 1)
         points = max(1, min(100_000, affordable))
-        members = [ScalingConnection(float(i) / points) for i in range(1, points + 1)]
+        members = (ScalingConnection(float(i) / points) for i in range(1, points + 1))
         return members, 1.0 / points, affordable < 100_000
 
     def sup_oracle(self, sample):
@@ -930,7 +936,7 @@ class ComposedSineClass:
 
     On lattice supports the sup oracle realizes any sign pattern through an
     exact shattering witness; ERM over the oscillatory objective goes
-    through the grid search in the erm module.
+    through the grid search of this module, _grid_erm.
     """
 
     def member(self, theta: float) -> SineComposition:
@@ -943,8 +949,9 @@ class ComposedSineClass:
         no loss to minimize."""
         if np.any(xs == 0.0):
             raise SingularityError("composed sine undefined at theta*x = 0")
-        return _grid_fit(SineComposition, lambda p: np.sin(1.0 / p), xs, zs,
-                         loss, grid_points)
+        return _grid_fit(SineComposition,
+                         lambda p: np.sin(np.divide(1.0, p, out=p), out=p),
+                         xs, zs, loss, grid_points)
 
     def oracle_input(self, instance, block):
         """The lattice indices of the rows: the oracle certifies patterns on

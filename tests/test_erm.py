@@ -1,6 +1,7 @@
 """Two-stage, unimodal, and joint training procedures."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,13 +111,34 @@ def test_unimodal_grid_fit_records_resolution():
 
 
 # the value maps of the two grid classes, as their fit_x hands them over
-GRID_VALUES = {"sine": lambda p: np.sin(1.0 / p), "scaling": lambda p: p}
+# (they write into the array they get), and the same maps with new arrays
+GRID_VALUES = {"sine": lambda p: np.sin(np.divide(1.0, p, out=p), out=p),
+               "scaling": lambda p: p}
+REFERENCE_VALUES = {"sine": lambda p: np.sin(1.0 / p), "scaling": lambda p: p}
 
 
-def _reference_objective(values, xs, zs, loss):
+def _reference_objective(kind, xs, zs, loss):
     """The one-row-per-theta form the grid objective must match bit for bit."""
+    values = REFERENCE_VALUES[kind]
     return lambda thetas: _clipped_mean_losses(values(np.outer(thetas, xs)), zs,
                                                loss)
+
+
+def _materialised_grid_erm(objective, grid_points: int):
+    """The grid search with the whole grid in one array, the reference of
+    the block-built _grid_erm."""
+    thetas = np.arange(1, grid_points + 1, dtype=float) / grid_points
+    best_val = math.inf
+    best_theta = thetas[-1]
+    block = 8192
+    for lo in range(0, grid_points, block):
+        chunk = thetas[lo:lo + block]
+        vals = objective(chunk)
+        j = int(np.argmin(vals))
+        if vals[j] < best_val:
+            best_val = float(vals[j])
+            best_theta = float(chunk[j])
+    return best_theta, best_val
 
 
 def _grid_rows(n, kind, rng):
@@ -149,7 +171,7 @@ def test_grid_objective_matches_one_row_per_theta_bitwise(n, kind, loss):
     for xs in (_grid_rows(n, kind, rng), rng.uniform(0.01, 1.0, size=n)):
         zs = rng.uniform(-1.5, 1.5, size=n)
         new = _grid_objective(GRID_VALUES[kind], xs, zs, loss)
-        old = _reference_objective(GRID_VALUES[kind], xs, zs, loss)
+        old = _reference_objective(kind, xs, zs, loss)
         for block in blocks:
             got, want = new(block), old(block)
             assert got.shape == want.shape == block.shape
@@ -192,9 +214,8 @@ def test_unimodal_scaling_fit_above_256_rows_matches_one_row_per_theta():
     xs = _grid_rows(300, "scaling", rng)
     zs = 0.6 * xs + rng.normal(0.0, 0.2, size=300)
     sol = fit_unimodal(np.column_stack((xs, zs)), ScalingClass(), CLIPPED_ABS)
-    theta, objective = _grid_erm(
-        _reference_objective(GRID_VALUES["scaling"], xs, zs, CLIPPED_ABS),
-        100_000)
+    theta, objective = _materialised_grid_erm(
+        _reference_objective("scaling", xs, zs, CLIPPED_ABS), 100_000)
     assert sol.path == "grid-upper-bound"
     assert sol.member.theta.hex() == theta.hex()
     assert sol.objective.hex() == objective.hex()
@@ -215,12 +236,75 @@ def test_unimodal_fit_matches_one_row_per_theta_on_criterion_5_seeds():
         repeated += len(np.unique(xs)) < len(xs)
         sol = fit_unimodal(np.column_stack((xs, zs)), ComposedSineClass(),
                            CLIPPED_ABS)
-        theta, objective = _grid_erm(
-            _reference_objective(GRID_VALUES["sine"], xs, zs, CLIPPED_ABS),
-            100_000)
-        assert sol.member.theta.hex() == theta.hex()
-        assert sol.objective.hex() == objective.hex()
+        objective = _reference_objective("sine", xs, zs, CLIPPED_ABS)
+        want = _materialised_grid_erm(objective, 100_000)
+        assert _grid_erm(objective, 100_000) == want
+        assert sol.member.theta.hex() == want[0].hex()
+        assert sol.objective.hex() == want[1].hex()
     assert repeated > 0      # the shared-row path was exercised
+
+
+def _recorded(objective, seen):
+    """objective, also keeping a copy of every block of thetas it gets."""
+    def record(thetas):
+        seen.append(thetas.copy())
+        return objective(thetas)
+    return record
+
+
+# one theta, two, one block less one, one whole block, one block and one
+# more, and the default: 12 whole blocks and a 1,696-theta tail
+@pytest.mark.parametrize("grid_points", [1, 2, 8191, 8192, 8193, 100_000])
+@pytest.mark.parametrize("kind", sorted(GRID_VALUES))
+@pytest.mark.parametrize("loss", [CLIPPED_ABS, ABSOLUTE], ids=lambda l: l.kind)
+def test_grid_erm_matches_the_materialised_grid_bitwise(grid_points, kind, loss):
+    rng = np.random.default_rng(grid_points)
+    xs = _grid_rows(5, kind, rng)
+    zs = rng.uniform(-1.5, 1.5, size=5)
+    streamed, materialised = [], []
+    got = _grid_erm(_recorded(_grid_objective(GRID_VALUES[kind], xs, zs, loss),
+                              streamed), grid_points)
+    want = _materialised_grid_erm(
+        _recorded(_reference_objective(kind, xs, zs, loss), materialised),
+        grid_points)
+    assert got[0].hex() == want[0].hex() and got[1].hex() == want[1].hex()
+    assert [len(b) for b in streamed] == [len(b) for b in materialised]
+    assert all(len(b) == 8192 for b in streamed[:-1])
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(streamed, materialised))
+
+
+def test_grid_erm_keeps_the_last_point_when_nothing_beats_infinity():
+    assert _grid_erm(lambda t: np.full(len(t), math.inf), 10_000) == (1.0, math.inf)
+    assert _grid_erm(lambda t: np.full(len(t), math.nan), 3) == (1.0, math.inf)
+
+
+@pytest.mark.parametrize("cls", [ComposedSineClass(), ScalingClass()],
+                         ids=["sine", "scaling"])
+@pytest.mark.parametrize("grid_points", [0, -1])
+def test_grid_fit_rejects_an_empty_grid(cls, grid_points):
+    xs, zs = np.array([0.25, 0.5]), np.array([0.1, -0.2])
+    with pytest.raises(DomainError, match="at least one point"):
+        cls.fit_x(xs, zs, CLIPPED_ABS, grid_points)
+
+
+def _grid_fit_peak(grid_points):
+    """The tracemalloc peak, above what is held before it, of a 4-row
+    composed-sine fit_unimodal."""
+    xz = [(float(lattice_point(i)), z) for i, z in
+          ((3, 0.5), (5, -0.5), (5, -0.5), (9, 0.9))]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fit_unimodal(xz, ComposedSineClass(), CLIPPED_ABS, grid_points=grid_points)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_grid_memory_does_not_grow_with_the_grid():
+    small, large = _grid_fit_peak(10**5), _grid_fit_peak(10**6)
+    assert large < 1.5 * small
+    assert large < 2 * 2**20
 
 
 def test_unimodal_oscillatory_fit_small_training_loss():
@@ -300,6 +384,20 @@ def test_joint_fit_boolean_reduces_to_per_task():
     assert len(sol.predictors) == 2
     # y is a coin flip independent of x: no composition beats 1/2 by much
     assert sol.objective >= 0.25
+
+
+def test_scaling_joint_candidates_are_made_as_they_are_read():
+    tracemalloc.start()
+    try:
+        members, tolerance, exhausted = ScalingClass().joint_candidates(1, 10**6)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2**20
+    assert tolerance == 1.0 / 100_000 and not exhausted
+    members, _, exhausted = ScalingClass().joint_candidates(3, 100)
+    assert exhausted
+    assert [g.theta for g in members] == [float(i) / 33 for i in range(1, 34)]
 
 
 def test_joint_fit_budget_flag():
