@@ -385,13 +385,18 @@ class UnimodalSolution:
                 "grid_resolution": self.grid_resolution}
 
 
-def _grid_erm(objective, grid_points: int):
+def _grid_erm(objective, grid_points: int, floor=None):
     """Dense grid over (0, 1]; the first minimum wins.
 
     objective maps a 1-D array of thetas to one value per theta; the grid
     hands it blocks of 8192 thetas, each built from its own integer range,
     so the memory does not grow with grid_points.  The objective may be
     violently oscillatory, so the recorded resolution is part of the result.
+
+    floor(first, last), when given, is a lower bound on every value of the
+    block whose thetas run from first to last.  A block whose floor is not
+    below the best value so far holds nothing that could replace it, so it
+    is skipped unevaluated; the result is that of the full search.
     """
     if grid_points < 1:
         raise DomainError("the grid needs at least one point")
@@ -399,7 +404,12 @@ def _grid_erm(objective, grid_points: int):
     best_theta = 1.0
     block = 8192
     for lo in range(0, grid_points, block):
-        chunk = np.arange(lo + 1, min(lo + block, grid_points) + 1, dtype=float)
+        hi = min(lo + block, grid_points)
+        # (lo + 1) / grid_points has the bits of the block's first theta
+        if floor is not None and floor((lo + 1) / grid_points,
+                                       hi / grid_points) >= best_val:
+            continue
+        chunk = np.arange(lo + 1, hi + 1, dtype=float)
         chunk /= grid_points
         vals = objective(chunk)
         j = int(np.argmin(vals))
@@ -416,44 +426,52 @@ def _clipped_mean_losses(preds, zs, loss: Loss):
     return d.mean(axis=-1)
 
 
+def _pairwise_sum(rows):
+    """The sum of the rows of the 2-D array rows, as whole vectors, in the
+    order of numpy's pairwise sum: one after another below 8 rows; up to
+    128 rows, eight running sums over the rows i = 0..7 (mod 8), combined
+    as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rows
+    left over, in order; above 128 rows, the sums of the two parts split at
+    n/2 rounded down to a multiple of 8."""
+    n = len(rows)
+    if n < 8:
+        total = rows[0].copy()
+        for row in rows[1:]:
+            total += row
+        return total
+    if n <= 128:
+        stop = n - n % 8
+        r = rows[:8].copy()
+        for lo in range(8, stop, 8):
+            r += rows[lo:lo + 8]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for row in rows[stop:]:
+            total += row
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(rows[:half]) + _pairwise_sum(rows[half:])
+
+
 def _row_mean(d):
     """The mean of the rows of the 2-D array d, one value per column, with
     the bits of numpy's mean along the last axis of a C-contiguous copy of
-    d.T, but with no copy.
-
-    The rows are added as whole vectors in the order of numpy's pairwise
-    sum: one after another below 8 rows; up to 128 rows, eight running sums
-    over the rows i = 0..7 (mod 8), combined as ((r0 + r1) + (r2 + r3)) +
-    ((r4 + r5) + (r6 + r7)), then the rows left over, in order; above 128
-    rows, the sums of the two parts split at n/2 rounded down to a multiple
-    of 8.  numpy's reduce starts from +0.0, so a column of -0.0 sums to
-    +0.0; the sum is then divided by the row count.
-    """
-
-    def pairwise(rows):
-        n = len(rows)
-        if n < 8:
-            total = rows[0].copy()
-            for row in rows[1:]:
-                total += row
-            return total
-        if n <= 128:
-            stop = n - n % 8
-            r = rows[:8].copy()
-            for lo in range(8, stop, 8):
-                r += rows[lo:lo + 8]
-            total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-            for row in rows[stop:]:
-                total += row
-            return total
-        half = n // 2
-        half -= half % 8
-        return pairwise(rows[:half]) + pairwise(rows[half:])
-
-    total = pairwise(d)
-    total += 0.0                 # the +0.0 numpy's reduce starts from
+    d.T, but with no copy: _pairwise_sum's sum, plus the +0.0 numpy's
+    reduce starts from (so a column of -0.0 sums to +0.0), divided by the
+    row count."""
+    total = _pairwise_sum(d)
+    total += 0.0
     total /= len(d)
     return total
+
+
+def _distinct_rows(xs):
+    """(distinct x, the row of each x among them), or (xs, None) when no x
+    repeats and there is nothing to share."""
+    distinct, slot = np.unique(xs, return_inverse=True)
+    if len(distinct) == len(xs):
+        return xs, None
+    return distinct, slot
 
 
 def _grid_objective(values, xs, zs, loss):
@@ -466,12 +484,9 @@ def _grid_objective(values, xs, zs, loss):
     and |prediction - z| and the clip run on those long rows.  The mean is
     _row_mean's, whole rows added in numpy's pairwise order, so every value
     has the bits of the one-row-per-theta form
-    _clipped_mean_losses(values(np.outer(thetas, xs)), zs, loss).  Without
-    repeated x there is nothing to share, and the rows are xs as given.
+    _clipped_mean_losses(values(np.outer(thetas, xs)), zs, loss).
     """
-    distinct, slot = np.unique(xs, return_inverse=True)
-    if len(distinct) == len(xs):
-        distinct, slot = xs, None
+    distinct, slot = _distinct_rows(xs)
     labels = zs[:, None]
 
     def objective(thetas):
@@ -487,13 +502,73 @@ def _grid_objective(values, xs, zs, loss):
     return objective
 
 
-def _grid_fit(member_at, values, xs, zs, loss, grid_points):
+def _grid_floor(span, xs, zs, loss):
+    """floor(first, last): a lower bound on every value that
+    _grid_objective(values, xs, zs, loss) gives the thetas from first to
+    last, where span(lo, hi) bounds the values the value map gives the
+    floats from lo to hi.
+
+    Rounding is monotone, so the computed theta * x of those thetas lies
+    between the ones of first and last, each row's computed |prediction -
+    z| is at least the computed distance from z to span's bounds, and the
+    clip keeps that order.  The floor adds those distances in the
+    objective's own row order, with _row_mean, and so is below the mean of
+    every theta in the block, bit for bit and at any size of the losses.
+    """
+    distinct, slot = _distinct_rows(xs)
+    points = distinct.tolist()
+
+    def floor(first, last):
+        low, high = np.array([span(*sorted((x * first, x * last)))
+                              for x in points]).T
+        if slot is not None:
+            low, high = low[slot], high[slot]
+        gap = np.maximum(np.maximum(low - zs, zs - high), 0.0)
+        if loss.kind == "clipped-absolute":
+            np.minimum(gap, 1.0, out=gap)
+        return float(_row_mean(gap[:, None])[0])
+
+    return floor
+
+
+def _grid_fit(member_at, values, span, xs, zs, loss, grid_points):
     """Grid ERM of the one-parameter family theta -> member_at(theta) over
-    the _grid_objective of its value map."""
-    theta, val = _grid_erm(_grid_objective(values, xs, zs, loss), grid_points)
+    the _grid_objective of its value map, skipping the blocks that
+    _grid_floor, from the map's span, shows cannot beat the best so far."""
+    theta, val = _grid_erm(_grid_objective(values, xs, zs, loss), grid_points,
+                           floor=_grid_floor(span, xs, zs, loss))
     return UnimodalSolution(member=member_at(theta), objective=val,
                             path="grid-upper-bound",
                             grid_resolution=1.0 / grid_points)
+
+
+def _sine_values(p):
+    """sin(1 / p), written into p."""
+    return np.sin(np.divide(1.0, p, out=p), out=p)
+
+
+def _holds(a, b, phase):
+    """Whether [a, b], widened by 1e-6, holds a point phase + 2 pi k; the
+    widening covers the rounding of this test for |a|, |b| <= 2^20."""
+    k = math.floor((b + 1e-6 - phase) / TWO_PI)
+    return phase + k * TWO_PI >= a - 1e-6
+
+
+def _sine_span(lo, hi):
+    """Bounds on numpy's sin(1 / p) for every float p from lo to hi: -1
+    where the arguments reach a trough, +1 where they reach a peak, and
+    otherwise the sines of the two end arguments, widened by 1e-12 for the
+    error of math.sin and of numpy's sin.  An interval that holds or
+    touches 0, and arguments that are not finite or exceed 2^20 in size,
+    get [-1, 1]."""
+    if not lo * hi > 0.0:
+        return -1.0, 1.0
+    a, b = 1.0 / hi, 1.0 / lo
+    if not (-2.0 ** 20 <= a and b <= 2.0 ** 20):
+        return -1.0, 1.0
+    sa, sb = math.sin(a), math.sin(b)
+    return (-1.0 if _holds(a, b, -0.5 * math.pi) else min(sa, sb) - 1e-12,
+            1.0 if _holds(a, b, 0.5 * math.pi) else max(sa, sb) + 1e-12)
 
 
 def _reads_x(self, instance, block):
@@ -581,8 +656,8 @@ class ScalingClass:
             return UnimodalSolution(member=ScalingConnection(theta),
                                     objective=float(np.mean(np.abs(theta * xs - zs))),
                                     path="exact-lad")
-        return _grid_fit(ScalingConnection, lambda p: p, xs, zs, loss,
-                         grid_points)
+        return _grid_fit(ScalingConnection, lambda p: p, lambda lo, hi: (lo, hi),
+                         xs, zs, loss, grid_points)
 
     def joint_candidates(self, per_eval: int, budget: int):
         """Grid over (0, 1] sized to the evaluation budget, as (members,
@@ -949,9 +1024,8 @@ class ComposedSineClass:
         no loss to minimize."""
         if np.any(xs == 0.0):
             raise SingularityError("composed sine undefined at theta*x = 0")
-        return _grid_fit(SineComposition,
-                         lambda p: np.sin(np.divide(1.0, p, out=p), out=p),
-                         xs, zs, loss, grid_points)
+        return _grid_fit(SineComposition, _sine_values, _sine_span, xs, zs,
+                         loss, grid_points)
 
     def oracle_input(self, instance, block):
         """The lattice indices of the rows: the oracle certifies patterns on

@@ -190,7 +190,19 @@ def make_sine_subset(indices: Sequence[int], theta_star: float) -> SineInstance:
 def make_sine_shattered(signs: Sequence[int], indices=None,
                         convention: str = "sine-sign") -> SineInstance:
     """Witness-backed instance whose labels realize the given sign pattern
-    (|z| >= sqrt(2)/2 at every support point)."""
+    (|z| >= sqrt(2)/2 at every support point).
+
+    A support whose y certainly underflows is refused before the witness is
+    built, whose cost grows with the square of the top index.  Every digit
+    adds at least 3 * 16^i to 4c, so 4c > 3 * 16^top and each y = (4 * 16^i
+    / (4c * (16^i + 1))) / (2 pi) is below (4 / (3 * 16^top)) / (2 pi).
+    From top = 269 on, 3 * 16^top >= 2^1076, so the int quotient rounds to
+    at most 2^-1074, and dividing that by 2 pi > 2 rounds to 0.0: the exact
+    check of SineInstance would raise too.
+    """
+    indices = range(1, len(signs) + 1) if indices is None else tuple(map(int, indices))
+    if max(indices, default=0) >= 269:
+        raise DomainError("support too deep: y underflows float64")
     cert = shatter.construct(signs, convention=convention, indices=indices)
     return SineInstance(witness=cert, support=tuple(cert.indices))
 

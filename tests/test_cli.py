@@ -464,3 +464,31 @@ def test_workers_flag_only_on_monte_carlo_commands():
     takes = {name for name, sub in commands.items()
              if "--workers" in sub._option_string_actions}
     assert takes == {"gaussavg", "gap", "repr-compare"}
+
+
+@st.composite
+def separation_argv(draw):
+    """separation argv whose sizes are left out, positive, zero, negative or
+    not numbers; the depths reach past the float64 cap on y, which is
+    refused early.  --trials stays at most 2 and --grid at most 20,000."""
+    argv = ["separation"]
+    for flag, hi in (("--n", 60), ("--m", 400), ("--trials", 2), ("--grid", 20_000)):
+        kind = draw(st.sampled_from(["none", "size", "size", "size", "small",
+                                     "text"]))
+        if kind != "none":
+            value = {"size": st.integers(1, hi), "small": st.integers(-2, 0),
+                     "text": NON_NUMERIC}[kind]
+            argv += [flag, str(draw(value))]
+    return argv
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(argv=separation_argv())
+def test_separation_exits_with_a_code_for_any_sizes(argv):
+    if "--trials" not in argv:
+        argv += ["--trials", "1"]
+    if "--grid" not in argv:
+        argv += ["--grid", "1000"]
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()), \
+            redirect_stderr(io.StringIO()):
+        assert main(argv + ["--out", str(Path(tmp) / "out")]) in (0, 1, 2)

@@ -1,5 +1,6 @@
 """Two-stage, unimodal, and joint training procedures."""
 
+import gc
 import math
 import tracemalloc
 
@@ -13,10 +14,12 @@ from modalgap.core import (ABSOLUTE, CLIPPED_ABS, Block, DomainError,
                            draw_labeled, draw_unlabeled)
 from modalgap.erm import (fit_joint, fit_multimodal, fit_unimodal,
                           predict_unimodal)
+from modalgap import hypotheses
 from modalgap.hypotheses import (BooleanLookupClass, BooleanMapClass,
                                  ComposedSineClass, ScalingClass,
                                  SineSingletonClass, _clipped_mean_losses,
-                                 _grid_erm, _grid_objective, _row_mean)
+                                 _grid_erm, _grid_floor, _grid_objective,
+                                 _row_mean, _sine_span, _sine_values)
 from modalgap.instances import make_boolean, make_sine, make_sine_shattered
 from modalgap.shatter import lattice_point
 
@@ -111,9 +114,10 @@ def test_unimodal_grid_fit_records_resolution():
 
 
 # the value maps of the two grid classes, as their fit_x hands them over
-# (they write into the array they get), and the same maps with new arrays
-GRID_VALUES = {"sine": lambda p: np.sin(np.divide(1.0, p, out=p), out=p),
-               "scaling": lambda p: p}
+# (they write into the array they get), their spans, and the same maps with
+# new arrays
+GRID_VALUES = {"sine": _sine_values, "scaling": lambda p: p}
+GRID_SPANS = {"sine": _sine_span, "scaling": lambda lo, hi: (lo, hi)}
 REFERENCE_VALUES = {"sine": lambda p: np.sin(1.0 / p), "scaling": lambda p: p}
 
 
@@ -207,6 +211,19 @@ def test_row_mean_matches_numpy_mean_bitwise(rows, seed):
     assert d.tobytes() == _mixed_columns(rows, seed).tobytes()   # d is not written
 
 
+def test_row_mean_leaves_nothing_for_the_collector():
+    d = _mixed_columns(300, 5)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        _row_mean(d)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_unimodal_scaling_fit_above_256_rows_matches_one_row_per_theta():
     """fit_unimodal on 300 rows runs _row_mean's split twice over; its theta
     and objective equal the grid search over the one-row-per-theta form."""
@@ -242,6 +259,64 @@ def test_unimodal_fit_matches_one_row_per_theta_on_criterion_5_seeds():
         assert sol.member.theta.hex() == want[0].hex()
         assert sol.objective.hex() == want[1].hex()
     assert repeated > 0      # the shared-row path was exercised
+
+
+def test_grid_floor_skips_blocks_on_criterion_5_seeds(monkeypatch):
+    """On the trials above, the floor spares most of the 13 blocks of each
+    fit; without it every block is evaluated."""
+    evaluated = []
+
+    def counted_grid(objective, *args, **kwargs):
+        def counted(thetas):
+            evaluated.append(len(thetas))
+            return objective(thetas)
+        return _grid_erm(counted, *args, **kwargs)
+
+    monkeypatch.setattr(hypotheses, "_grid_erm", counted_grid)
+    seed = SeedSpec(505)
+    for trial in range(12):
+        root = seed.child("trial", trial)
+        signs = root.child("signs").generator().integers(0, 2, size=64) * 2 - 1
+        block = draw_labeled(make_sine_shattered(signs, indices=range(1, 65)),
+                             1, 4, root).tasks[0]
+        fit_unimodal(np.column_stack((block.x[:, 0], block.z)),
+                     ComposedSineClass(), CLIPPED_ABS)
+    assert 12 <= len(evaluated) < 12 * 13 // 2
+
+
+# x of both signs from 1e-8 to 1e3, one so small that 1 / (theta x) is
+# infinite, and the non-finite ones; labels that tie with the sine's bounds
+# and 0, or reach 1e300
+GRID_XS = st.one_of(
+    st.builds(lambda sign, e: sign * 10.0 ** e, st.sampled_from([-1.0, 1.0]),
+              st.floats(-8, 3)),
+    st.sampled_from([1e-320, -1e-320, math.inf, -math.inf, math.nan]))
+GRID_ZS = st.one_of(st.floats(-2, 2), st.sampled_from([-1.0, 1.0, 0.0, -0.0]),
+                    st.floats(-1e300, 1e300))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(sorted(GRID_VALUES)),
+       loss=st.sampled_from([CLIPPED_ABS, ABSOLUTE]),
+       rows=st.lists(st.tuples(GRID_XS, GRID_ZS), min_size=1, max_size=6),
+       repeat=st.booleans(),
+       grid_points=st.one_of(st.integers(8180, 8200), st.integers(1, 20_000)),
+       block=st.integers(0, 2))
+def test_grid_floor_is_below_every_value_of_its_block(kind, loss, rows, repeat,
+                                                      grid_points, block):
+    xs, zs = (np.array(column) for column in zip(*rows))
+    if repeat:
+        xs = np.append(xs, xs[0])
+        zs = np.append(zs, -zs[0])
+    lo = 8192 * min(block, (grid_points - 1) // 8192)
+    hi = min(lo + 8192, grid_points)
+    thetas = np.arange(lo + 1, hi + 1, dtype=float)
+    thetas /= grid_points
+    floor = _grid_floor(GRID_SPANS[kind], xs, zs, loss)(
+        (lo + 1) / grid_points, hi / grid_points)
+    with np.errstate(all="ignore"):     # sin(1 / 0) and sin(inf) are NaN
+        values = _grid_objective(GRID_VALUES[kind], xs, zs, loss)(thetas)
+    assert not np.any(values < floor)
 
 
 def _recorded(objective, seen):

@@ -1,13 +1,19 @@
 """Distribution family construction and invariants."""
 
 import math
+import tempfile
+import tracemalloc
+from contextlib import redirect_stderr
 from fractions import Fraction
+from io import StringIO
 
 import numpy as np
 import pytest
 
+from modalgap import shatter
+from modalgap.cli import main
 from modalgap.core import DomainError, SeedSpec, draw_labeled
-from modalgap.instances import (instance_from_json,
+from modalgap.instances import (SineInstance, instance_from_json,
                                 instance_to_json, make_boolean,
                                 make_separable, make_separable_from_fixed_points,
                                 make_sine, make_sine_shattered,
@@ -77,6 +83,57 @@ def test_shattered_instance_realizes_signs():
 def test_shattered_instance_too_deep_rejected():
     with pytest.raises(DomainError):
         make_sine_shattered([1] * 300)
+
+
+def _deep_patterns(top):
+    """Sign patterns over 1..top and over the lone index top: all +1 (4c
+    smallest), all -1 (largest) and alternating."""
+    for signs in ([1] * top, [-1] * top, [(-1) ** i for i in range(top)]):
+        yield signs, None
+        yield signs[-1:], (top,)
+
+
+def test_early_depth_check_rejects_only_what_the_exact_check_rejects(monkeypatch):
+    # the early check's cut, top = 269, is where 3 * 16^top reaches 2^1076
+    assert 3 * 16 ** 269 >= 2 ** 1076 > 3 * 16 ** 268
+    built = []
+    construct = shatter.construct
+
+    def recorded(*args, **kwargs):
+        built.append(True)
+        return construct(*args, **kwargs)
+
+    monkeypatch.setattr(shatter, "construct", recorded)
+    early = 0
+    for top in range(262, 276):
+        for signs, indices in _deep_patterns(top):
+            built.clear()
+            try:
+                make_sine_shattered(signs, indices=indices)
+            except DomainError as err:
+                assert "too deep" in str(err)
+                if built:
+                    continue
+                early += 1
+                cert = construct(signs, indices=indices)
+                with pytest.raises(DomainError, match="too deep"):
+                    SineInstance(witness=cert, support=cert.indices)
+    assert early > 0
+
+
+def test_deep_separation_fails_fast_in_little_memory():
+    """m = 8000: the early check refuses the lattice before its witness,
+    whose index table alone would grow with m^2."""
+    with tempfile.TemporaryDirectory() as tmp, redirect_stderr(StringIO()) as err:
+        tracemalloc.start()
+        try:
+            code = main(["separation", "--n", "20", "--trials", "1", "--out", tmp])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 1
+    assert "too deep" in err.getvalue()
+    assert peak < 5 * 2**20
 
 
 def test_three_param_ratio_invariant():
