@@ -303,7 +303,7 @@ def heterogeneity_gap(instance, unimodal_cls, predictor_cls, n: int,
 # experiments
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class SeparationStats:
     """Per-trial unimodal excess risks against the always-zero multimodal
     comparator on shattered lattice distributions."""

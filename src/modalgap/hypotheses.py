@@ -385,37 +385,58 @@ class UnimodalSolution:
                 "grid_resolution": self.grid_resolution}
 
 
+# the grid's evaluation block, the sub-block its floor certifies, and the
+# blocks whose floors are taken in one pass (a bounded floor array)
+GRID_BLOCK = 8192
+GRID_SUB_BLOCK = 512
+GRID_GROUP = 16 * GRID_BLOCK
+
+
 def _grid_erm(objective, grid_points: int, floor=None):
-    """Dense grid over (0, 1]; the first minimum wins.
+    """Dense grid over (0, 1]; the first minimum wins, and a NaN value
+    counts as +inf, so it never hides a finite value of its block.
 
-    objective maps a 1-D array of thetas to one value per theta; the grid
-    hands it blocks of 8192 thetas, each built from its own integer range,
-    so the memory does not grow with grid_points.  The objective may be
-    violently oscillatory, so the recorded resolution is part of the result.
+    objective maps a 1-D array of thetas to one value per theta.  The grid
+    walks blocks of 8192 thetas, each theta k / grid_points built from its
+    own integer k, and makes at most one call per block, so the memory does
+    not grow with grid_points.  The objective may be violently
+    oscillatory, so the recorded resolution is part of the result.
 
-    floor(first, last), when given, is a lower bound on every value of the
-    block whose thetas run from first to last.  A block whose floor is not
-    below the best value so far holds nothing that could replace it, so it
-    is skipped unevaluated; the result is that of the full search.
+    floor(firsts, lasts), when given, maps the first and last thetas of the
+    512-theta sub-blocks of up to 16 blocks, in one call, to a lower bound
+    per sub-block on every value in it.  A sub-block whose floor is not
+    below the best value so far holds nothing that could replace it, so
+    the block's call gets only the block's other sub-blocks, in grid order,
+    and a block with none is skipped; a NaN floor skips nothing.  The
+    result is that of the full search.  Without floor every block is
+    evaluated whole.
     """
     if grid_points < 1:
         raise DomainError("the grid needs at least one point")
     best_val = math.inf
     best_theta = 1.0
-    block = 8192
-    for lo in range(0, grid_points, block):
-        hi = min(lo + block, grid_points)
-        # (lo + 1) / grid_points has the bits of the block's first theta
-        if floor is not None and floor((lo + 1) / grid_points,
-                                       hi / grid_points) >= best_val:
-            continue
-        chunk = np.arange(lo + 1, hi + 1, dtype=float)
-        chunk /= grid_points
-        vals = objective(chunk)
-        j = int(np.argmin(vals))
-        if vals[j] < best_val:
-            best_val = float(vals[j])
-            best_theta = float(chunk[j])
+    for start in range(0, grid_points, GRID_GROUP):
+        stop = min(start + GRID_GROUP, grid_points)
+        cuts = np.append(np.arange(start, stop, GRID_SUB_BLOCK), stop)
+        # (k + 1) / grid_points has the bits of the sub-block's first theta
+        floors = (np.full(len(cuts) - 1, -math.inf) if floor is None else
+                  floor((cuts[:-1] + 1) / grid_points, cuts[1:] / grid_points))
+        sizes = np.diff(cuts)
+        for lo in range(start, stop, GRID_BLOCK):
+            first = (lo - start) // GRID_SUB_BLOCK
+            subs = slice(first, first + GRID_BLOCK // GRID_SUB_BLOCK)
+            live = ~(floors[subs] >= best_val)
+            if not live.any():
+                continue
+            chunk = np.arange(lo + 1, min(lo + GRID_BLOCK, stop) + 1, dtype=float)
+            if not live.all():
+                chunk = chunk[np.repeat(live, sizes[subs])]
+            chunk /= grid_points
+            vals = objective(chunk)
+            j = int(np.argmin(np.where(np.isnan(vals), math.inf, vals)))
+            if vals[j] < best_val:
+                best_val = float(vals[j])
+                best_theta = float(chunk[j])
     return best_theta, best_val
 
 
@@ -503,30 +524,31 @@ def _grid_objective(values, xs, zs, loss):
 
 
 def _grid_floor(span, xs, zs, loss):
-    """floor(first, last): a lower bound on every value that
-    _grid_objective(values, xs, zs, loss) gives the thetas from first to
-    last, where span(lo, hi) bounds the values the value map gives the
-    floats from lo to hi.
+    """floor(firsts, lasts): for each pair of thetas first <= last, a lower
+    bound on every value that _grid_objective(values, xs, zs, loss) gives
+    the thetas from first to last, where span(lo, hi) bounds, elementwise,
+    the values the value map gives the floats from lo to hi.
 
     Rounding is monotone, so the computed theta * x of those thetas lies
     between the ones of first and last, each row's computed |prediction -
     z| is at least the computed distance from z to span's bounds, and the
     clip keeps that order.  The floor adds those distances in the
     objective's own row order, with _row_mean, and so is below the mean of
-    every theta in the block, bit for bit and at any size of the losses.
+    every theta from first to last, bit for bit and at any size of the
+    losses.  One pass takes every pair: a (distinct x, pairs) array.
     """
     distinct, slot = _distinct_rows(xs)
-    points = distinct.tolist()
+    labels = zs[:, None]
 
-    def floor(first, last):
-        low, high = np.array([span(*sorted((x * first, x * last)))
-                              for x in points]).T
+    def floor(firsts, lasts):
+        ends = np.multiply.outer(distinct, firsts), np.multiply.outer(distinct, lasts)
+        low, high = span(np.minimum(*ends), np.maximum(*ends))
         if slot is not None:
             low, high = low[slot], high[slot]
-        gap = np.maximum(np.maximum(low - zs, zs - high), 0.0)
+        gap = np.maximum(np.maximum(low - labels, labels - high), 0.0)
         if loss.kind == "clipped-absolute":
             np.minimum(gap, 1.0, out=gap)
-        return float(_row_mean(gap[:, None])[0])
+        return _row_mean(gap)
 
     return floor
 
@@ -548,27 +570,27 @@ def _sine_values(p):
 
 
 def _holds(a, b, phase):
-    """Whether [a, b], widened by 1e-6, holds a point phase + 2 pi k; the
-    widening covers the rounding of this test for |a|, |b| <= 2^20."""
-    k = math.floor((b + 1e-6 - phase) / TWO_PI)
+    """Whether each [a, b], widened by 1e-6, holds a point phase + 2 pi k;
+    the widening covers the rounding of this test for |a|, |b| <= 2^20."""
+    k = np.floor((b + 1e-6 - phase) / TWO_PI)
     return phase + k * TWO_PI >= a - 1e-6
 
 
 def _sine_span(lo, hi):
-    """Bounds on numpy's sin(1 / p) for every float p from lo to hi: -1
-    where the arguments reach a trough, +1 where they reach a peak, and
-    otherwise the sines of the two end arguments, widened by 1e-12 for the
-    error of math.sin and of numpy's sin.  An interval that holds or
-    touches 0, and arguments that are not finite or exceed 2^20 in size,
-    get [-1, 1]."""
-    if not lo * hi > 0.0:
-        return -1.0, 1.0
-    a, b = 1.0 / hi, 1.0 / lo
-    if not (-2.0 ** 20 <= a and b <= 2.0 ** 20):
-        return -1.0, 1.0
-    sa, sb = math.sin(a), math.sin(b)
-    return (-1.0 if _holds(a, b, -0.5 * math.pi) else min(sa, sb) - 1e-12,
-            1.0 if _holds(a, b, 0.5 * math.pi) else max(sa, sb) + 1e-12)
+    """Bounds, elementwise, on numpy's sin(1 / p) for every float p from lo
+    to hi: -1 where the arguments reach a trough, +1 where they reach a
+    peak, and otherwise the sines of the two end arguments, widened by
+    1e-12 for the error of numpy's sin.  An interval that holds or touches
+    0, and arguments that are not finite or exceed 2^20 in size, get
+    [-1, 1]."""
+    with np.errstate(all="ignore"):
+        a, b = 1.0 / hi, 1.0 / lo
+        wide = ~((lo * hi > 0.0) & (-2.0 ** 20 <= a) & (b <= 2.0 ** 20))
+        sa, sb = np.sin(a), np.sin(b)
+        return (np.where(wide | _holds(a, b, -0.5 * math.pi), -1.0,
+                         np.minimum(sa, sb) - 1e-12),
+                np.where(wide | _holds(a, b, 0.5 * math.pi), 1.0,
+                         np.maximum(sa, sb) + 1e-12))
 
 
 def _reads_x(self, instance, block):

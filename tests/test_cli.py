@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from modalgap.cli import build_parser, main
+from modalgap.cli import _CLASSES, build_parser, main
 from modalgap.core import CLIPPED_ABS, SeedSpec, draw_labeled
 from modalgap.erm import fit_unimodal
 from modalgap.hypotheses import SignCompleteClass
@@ -492,3 +492,41 @@ def test_separation_exits_with_a_code_for_any_sizes(argv):
     with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()), \
             redirect_stderr(io.StringIO()):
         assert main(argv + ["--out", str(Path(tmp) / "out")]) in (0, 1, 2)
+
+
+# every instance file the lab writes or refuses, for fit-unimodal to read
+FIT_UNIMODAL_INSTANCES = [
+    SINE_8, BOOLEAN_1, SUBSPACE_3, SEPARABLE, THREE_PARAM,
+    instance_to_json(make_sine_shattered([1, -1, -1, 1, 1, -1])),
+    TAMPERED_WITNESS, SUBSPACE_OTHER_RULE, {"family": "nope"}, []]
+
+
+@st.composite
+def fit_unimodal_argv(draw):
+    """(instance, fit-unimodal argv): every class the CLI names and one it
+    does not, and sizes that are left out, positive, zero, negative or not
+    numbers.  --n stays at most 64 and --grid at most 10^6."""
+    argv = ["fit-unimodal"]
+    cls = draw(st.sampled_from([None, "nope"] + sorted(_CLASSES)))
+    if cls is not None:
+        argv += ["--cls", cls]
+    for flag, hi in (("--n", 64), ("--grid", 10**6)):
+        kind = draw(st.sampled_from(["none", "size", "size", "size", "small",
+                                     "text"]))
+        if kind != "none":
+            value = {"size": st.integers(1, hi), "small": st.integers(-2, 0),
+                     "text": NON_NUMERIC}[kind]
+            argv += [flag, str(draw(value))]
+    return draw(st.sampled_from(FIT_UNIMODAL_INSTANCES)), argv
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=fit_unimodal_argv())
+def test_fit_unimodal_exits_with_a_code_for_any_argv(case):
+    instance, argv = case
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()), \
+            redirect_stderr(io.StringIO()):
+        path = Path(tmp) / "instance.json"
+        path.write_text(json.dumps(instance))
+        code = main(argv + ["--instance", str(path), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2)

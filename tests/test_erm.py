@@ -130,7 +130,7 @@ def _reference_objective(kind, xs, zs, loss):
 
 def _materialised_grid_erm(objective, grid_points: int):
     """The grid search with the whole grid in one array, the reference of
-    the block-built _grid_erm."""
+    the block-built _grid_erm; a NaN value counts as +inf."""
     thetas = np.arange(1, grid_points + 1, dtype=float) / grid_points
     best_val = math.inf
     best_theta = thetas[-1]
@@ -138,7 +138,7 @@ def _materialised_grid_erm(objective, grid_points: int):
     for lo in range(0, grid_points, block):
         chunk = thetas[lo:lo + block]
         vals = objective(chunk)
-        j = int(np.argmin(vals))
+        j = int(np.argmin(np.where(np.isnan(vals), math.inf, vals)))
         if vals[j] < best_val:
             best_val = float(vals[j])
             best_theta = float(chunk[j])
@@ -262,8 +262,9 @@ def test_unimodal_fit_matches_one_row_per_theta_on_criterion_5_seeds():
 
 
 def test_grid_floor_skips_blocks_on_criterion_5_seeds(monkeypatch):
-    """On the trials above, the floor spares most of the 13 blocks of each
-    fit; without it every block is evaluated."""
+    """On the trials above, the floor spares most of the 100,000 thetas of
+    each fit (10,539 are evaluated per fit on average; whole-block floors
+    left 31,403); without it every theta is evaluated."""
     evaluated = []
 
     def counted_grid(objective, *args, **kwargs):
@@ -282,6 +283,7 @@ def test_grid_floor_skips_blocks_on_criterion_5_seeds(monkeypatch):
         fit_unimodal(np.column_stack((block.x[:, 0], block.z)),
                      ComposedSineClass(), CLIPPED_ABS)
     assert 12 <= len(evaluated) < 12 * 13 // 2
+    assert sum(evaluated) < 12 * 12_000
 
 
 # x of both signs from 1e-8 to 1e3, one so small that 1 / (theta x) is
@@ -295,28 +297,72 @@ GRID_ZS = st.one_of(st.floats(-2, 2), st.sampled_from([-1.0, 1.0, 0.0, -0.0]),
                     st.floats(-1e300, 1e300))
 
 
+def _scalar_holds(a, b, phase):
+    """Whether [a, b], widened by 1e-6, holds a point phase + 2 pi k."""
+    k = math.floor((b + 1e-6 - phase) / (2.0 * math.pi))
+    return phase + k * 2.0 * math.pi >= a - 1e-6
+
+
+def _scalar_sine_span(lo, hi):
+    """One interval at a time, with math.sin: the reference of the
+    elementwise _sine_span."""
+    if not lo * hi > 0.0:
+        return -1.0, 1.0
+    a, b = 1.0 / hi, 1.0 / lo
+    if not (-2.0 ** 20 <= a and b <= 2.0 ** 20):
+        return -1.0, 1.0
+    sa, sb = math.sin(a), math.sin(b)
+    return (-1.0 if _scalar_holds(a, b, -0.5 * math.pi) else min(sa, sb) - 1e-12,
+            1.0 if _scalar_holds(a, b, 0.5 * math.pi) else max(sa, sb) + 1e-12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(xs=st.lists(GRID_XS, min_size=1, max_size=8),
+       ends=st.lists(st.tuples(st.floats(1e-6, 1.0), st.floats(1e-6, 1.0)),
+                     min_size=1, max_size=8))
+def test_sine_span_contains_the_scalar_span(xs, ends):
+    """The elementwise span against the scalar one on the intervals x * [first,
+    last] of the grid's floor: the same [-1, 1] cases and bounds at least as
+    wide, up to one ulp of numpy's sin against math.sin."""
+    firsts, lasts = np.array([min(e) for e in ends]), np.array([max(e) for e in ends])
+    with np.errstate(all="ignore"):
+        a, b = np.multiply.outer(xs, firsts), np.multiply.outer(xs, lasts)
+        low, high = _sine_span(np.minimum(a, b), np.maximum(a, b))
+    for i, j in np.ndindex(a.shape):
+        want = _scalar_sine_span(*sorted((xs[i] * firsts[j], xs[i] * lasts[j])))
+        assert low[i, j] <= want[0] + 2.0 ** -52 and high[i, j] >= want[1] - 2.0 ** -52
+        assert (low[i, j] == -1.0) == (want[0] == -1.0)
+        assert (high[i, j] == 1.0) == (want[1] == 1.0)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(kind=st.sampled_from(sorted(GRID_VALUES)),
        loss=st.sampled_from([CLIPPED_ABS, ABSOLUTE]),
        rows=st.lists(st.tuples(GRID_XS, GRID_ZS), min_size=1, max_size=6),
        repeat=st.booleans(),
        grid_points=st.one_of(st.integers(8180, 8200), st.integers(1, 20_000)),
-       block=st.integers(0, 2))
+       block=st.integers(0, 2),
+       size=st.sampled_from([1, 7, 64, 512]))
 def test_grid_floor_is_below_every_value_of_its_block(kind, loss, rows, repeat,
-                                                      grid_points, block):
+                                                      grid_points, block, size):
+    """One floor call over the sub-blocks of size thetas (the last one
+    shorter) of one grid block; no theta's value is below its sub-block's
+    floor."""
     xs, zs = (np.array(column) for column in zip(*rows))
     if repeat:
         xs = np.append(xs, xs[0])
         zs = np.append(zs, -zs[0])
     lo = 8192 * min(block, (grid_points - 1) // 8192)
     hi = min(lo + 8192, grid_points)
+    cuts = np.append(np.arange(lo, hi, size), hi)
+    floors = _grid_floor(GRID_SPANS[kind], xs, zs, loss)(
+        (cuts[:-1] + 1) / grid_points, cuts[1:] / grid_points)
+    assert floors.shape == (len(cuts) - 1,)
     thetas = np.arange(lo + 1, hi + 1, dtype=float)
     thetas /= grid_points
-    floor = _grid_floor(GRID_SPANS[kind], xs, zs, loss)(
-        (lo + 1) / grid_points, hi / grid_points)
     with np.errstate(all="ignore"):     # sin(1 / 0) and sin(inf) are NaN
         values = _grid_objective(GRID_VALUES[kind], xs, zs, loss)(thetas)
-    assert not np.any(values < floor)
+    assert not np.any(values < np.repeat(floors, np.diff(cuts)))
 
 
 def _recorded(objective, seen):
@@ -328,8 +374,12 @@ def _recorded(objective, seen):
 
 
 # one theta, two, one block less one, one whole block, one block and one
-# more, and the default: 12 whole blocks and a 1,696-theta tail
-@pytest.mark.parametrize("grid_points", [1, 2, 8191, 8192, 8193, 100_000])
+# more, the default (12 whole blocks and a 1,696-theta tail), and two floor
+# groups of 16 blocks, the second one block and 3 thetas long
+GRID_SIZES = [1, 2, 8191, 8192, 8193, 100_000, 17 * 8192 + 3]
+
+
+@pytest.mark.parametrize("grid_points", GRID_SIZES)
 @pytest.mark.parametrize("kind", sorted(GRID_VALUES))
 @pytest.mark.parametrize("loss", [CLIPPED_ABS, ABSOLUTE], ids=lambda l: l.kind)
 def test_grid_erm_matches_the_materialised_grid_bitwise(grid_points, kind, loss):
@@ -346,6 +396,77 @@ def test_grid_erm_matches_the_materialised_grid_bitwise(grid_points, kind, loss)
     assert [len(b) for b in streamed] == [len(b) for b in materialised]
     assert all(len(b) == 8192 for b in streamed[:-1])
     assert all(a.tobytes() == b.tobytes() for a, b in zip(streamed, materialised))
+
+
+@pytest.mark.parametrize("grid_points", GRID_SIZES)
+@pytest.mark.parametrize("kind", sorted(GRID_VALUES))
+@pytest.mark.parametrize("loss", [CLIPPED_ABS, ABSOLUTE], ids=lambda l: l.kind)
+def test_grid_erm_with_its_floor_matches_the_materialised_grid_bitwise(
+        grid_points, kind, loss):
+    """The sub-block floor changes which thetas are evaluated, not the
+    result; each call gets the thetas of one block, in grid order, with the
+    bits of the materialised grid."""
+    rng = np.random.default_rng(grid_points)
+    xs = _grid_rows(5, kind, rng)
+    zs = rng.uniform(-1.5, 1.5, size=5)
+    streamed = []
+    got = _grid_erm(_recorded(_grid_objective(GRID_VALUES[kind], xs, zs, loss),
+                              streamed), grid_points,
+                    floor=_grid_floor(GRID_SPANS[kind], xs, zs, loss))
+    want = _materialised_grid_erm(_reference_objective(kind, xs, zs, loss),
+                                  grid_points)
+    assert got[0].hex() == want[0].hex() and got[1].hex() == want[1].hex()
+    thetas = np.arange(1, grid_points + 1, dtype=float) / grid_points
+    for chunk in streamed:
+        k = np.rint(chunk * grid_points).astype(int) - 1
+        assert np.all(np.diff(k) > 0) and k[-1] // 8192 == k[0] // 8192
+        assert chunk.tobytes() == thetas[k].tobytes()
+    assert np.all(np.diff(np.concatenate(streamed)) > 0)
+
+
+def test_grid_erm_hands_the_floor_its_sub_blocks_and_evaluates_the_rest():
+    """A floor that rules out every other 512-theta sub-block.  It is called
+    once per group of 16 blocks, with the bits of each sub-block's first
+    and last theta, and the objective gets, one block per call, exactly the
+    thetas of the sub-blocks it leaves, the short last one too."""
+    grid_points = 17 * 8192 + 700
+    thetas = np.arange(1, grid_points + 1, dtype=float) / grid_points
+    calls, seen = [], []
+
+    def floor(firsts, lasts):
+        calls.append((firsts.copy(), lasts.copy()))
+        floors = np.full(len(firsts), -math.inf)
+        floors[1::2] = math.inf
+        return floors
+
+    got = _grid_erm(_recorded(lambda t: t.copy(), seen), grid_points, floor)
+    assert got == (thetas[0], thetas[0])
+    starts = [np.arange(0, 16 * 8192, 512), np.arange(16 * 8192, grid_points, 512)]
+    ends = [starts[0] + 511, np.minimum(starts[1] + 511, grid_points - 1)]
+    assert len(calls) == 2
+    for (firsts, lasts), a, b in zip(calls, starts, ends):
+        assert firsts.tobytes() == thetas[a].tobytes()
+        assert lasts.tobytes() == thetas[b].tobytes()
+    kept = (np.arange(grid_points) // 512) % 2 == 0
+    assert np.concatenate(seen).tobytes() == thetas[kept].tobytes()
+    assert [len(b) for b in seen] == [4096] * 17 + [512]
+
+
+def test_grid_erm_sees_past_a_nan_in_its_block():
+    """theta * 1e-305 underflows for small theta, so 1 / p is inf and the
+    sine NaN.  A NaN counts as +inf, and the finite values of its block
+    still compete: the grid point 0.05 fits these labels exactly."""
+    xs = np.array([1e-305, 0.5])
+    zs = np.sin(1.0 / (0.05 * xs))
+    objective = _reference_objective("sine", xs, zs, CLIPPED_ABS)
+    with np.errstate(all="ignore"):
+        values = objective(np.arange(1, 8193, dtype=float) / 100_000)
+        want = _materialised_grid_erm(objective, 100_000)
+        sol = ComposedSineClass().fit_x(xs, zs, CLIPPED_ABS, 100_000)
+    assert np.isnan(values[0]) and not np.isnan(values).all()
+    assert sol.member.theta.hex() == want[0].hex()
+    assert sol.objective.hex() == want[1].hex()
+    assert (sol.member.theta, sol.objective) == (0.05, 0.0)
 
 
 def test_grid_erm_keeps_the_last_point_when_nothing_beats_infinity():
