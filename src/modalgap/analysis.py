@@ -25,7 +25,6 @@ from .hypotheses import (ComposedSineClass, ScalingClass, SinePredictor,
                          SineSingletonClass, SmoothedHyperplaneClass)
 from .instances import (BooleanInstance, SeparableInstance, SineInstance,
                         make_boolean, make_sine, make_sine_shattered)
-from .shatter import lattice_sine
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -34,7 +33,7 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 # population risk
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class RiskReport:
     """Task-averaged population risk of a solution against the best
     both-modality comparator."""
@@ -92,8 +91,7 @@ def _predictions(solution, t: int, instance, block):
             and isinstance(predictor, SinePredictor)
             and getattr(connection, "c_exact", None) is not None
             and block.support_index is not None):
-        return [lattice_sine(connection.c_exact, instance.support[p])
-                for p in block.support_index.tolist()]
+        return instance.lattice_sines(connection.c_exact, block.support_index)
     preds = []
     for i, x in enumerate(block.x):
         try:
@@ -174,7 +172,7 @@ def best_unimodal_population_risk(instance, cls, loss: Loss,
 # generalization bound assembly
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundReport:
     """Four-term decomposition of the two-stage excess-risk bound."""
 

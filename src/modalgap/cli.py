@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, complexity, erm, shatter
-from .core import (CLIPPED_ABS, DomainError, ModalgapError, SeedSpec,
-                   draw_labeled, draw_unlabeled, sample_envelope,
+from .core import (CLIPPED_ABS, DomainError, InvalidInputError, ModalgapError,
+                   SeedSpec, draw_labeled, draw_unlabeled, sample_envelope,
                    sample_to_csv)
 from .hypotheses import (BooleanLookupClass, BooleanMapClass,
                          ComposedSineClass, ScalingClass, SignCompleteClass,
@@ -80,7 +80,10 @@ def _class(name: str, connection: bool = False):
 
 
 def _parse_points(text: str) -> np.ndarray:
-    return np.array([float(v) for v in text.split(",") if v.strip() != ""])
+    points = np.array([float(v) for v in text.split(",") if v.strip() != ""])
+    if not np.all(np.isfinite(points)):
+        raise InvalidInputError("points must be finite numbers")
+    return points
 
 
 def _parse_signs(text: str):

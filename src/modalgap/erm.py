@@ -30,7 +30,7 @@ from .hypotheses import (ScalingClass, ScalingConnection, SineSingletonClass,  #
 from .instances import SineInstance
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class MultimodalSolution:
     connection: object
     predictors: tuple

@@ -607,6 +607,8 @@ def _reads_xy(self, instance, block):
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+# below this norm a sum of squares is subnormal
+SQRT_TINY = math.sqrt(np.finfo(float).tiny)
 
 
 def fit_scaling_lad(xs, ys, signed: bool = False):
@@ -695,7 +697,13 @@ class ScalingClass:
         return _ScalingOracle(sample, signed=self.signed)
 
     def closed_form_gaussian(self, sample):
-        norm = float(np.linalg.norm(np.asarray(sample, dtype=float)))
+        x = np.asarray(sample, dtype=float)
+        norm = float(np.linalg.norm(x))
+        if norm < SQRT_TINY:
+            # x . x is subnormal or 0.0, so it lost bits; x / max|x| does not
+            top = float(np.max(np.abs(x), initial=0.0))
+            if top > 0.0:
+                norm = top * float(np.linalg.norm(x / top))
         if self.signed:
             return norm * SQRT_2_OVER_PI
         return norm / SQRT_2PI

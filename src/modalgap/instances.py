@@ -3,7 +3,9 @@
 Each family is an immutable value object with pure seeded draws.  Finite
 sine supports keep their points as exact rationals 16^i/(16^i+1) and only
 convert to float at emission, because the shattering machinery needs exact
-values downstream.
+values downstream.  The integers 16^i and 16^i + 1 of a support, and its
+float x, are built once per support tuple (a small bounded cache), so a
+new instance on a known support pays no per-point power or Fraction.
 """
 
 from __future__ import annotations
@@ -11,8 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Optional, Sequence
+from functools import cached_property, lru_cache
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -28,6 +30,23 @@ def _sin(values) -> np.ndarray:
     """Elementwise math.sin: an emitted label equals the scalar re-evaluation
     sin(1/y) of the predictors and the risk bit for bit on any platform."""
     return np.array([math.sin(v) for v in np.asarray(values).tolist()])
+
+
+class _SupportTable(NamedTuple):
+    powers: tuple        # (16^i, 16^i + 1) per support index, plain ints
+    x: np.ndarray        # x_i = 16^i / (16^i + 1), read-only
+
+
+@lru_cache(maxsize=16)
+def _support_table(support: tuple) -> _SupportTable:
+    """The integers and float x of a lattice support, built once per support
+    tuple and shared by every instance on it.  Each x is an int-by-int true
+    division, which is correctly rounded, so it is float(lattice_point(i))
+    bit for bit."""
+    powers = tuple((w, w + 1) for w in (16 ** i for i in support))
+    x = np.array([w / w1 for w, w1 in powers])
+    x.flags.writeable = False
+    return _SupportTable(powers, x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,7 +109,7 @@ class SineInstance:
 
     @cached_property
     def _x_floats(self) -> np.ndarray:
-        return np.array([float(p) for p in self.support_points])
+        return _support_table(self.support).x
 
     def _scaled_y_ratio(self, index: int) -> tuple:
         """(num, den) with num/den = 2*pi*y_index = 1/(c * a_index), read
@@ -101,17 +120,41 @@ class SineInstance:
     @cached_property
     def _y_floats(self) -> np.ndarray:
         if self.witness is not None:
-            # int-by-int true division rounds once, as float(Fraction) does
-            return np.array([num / den / TWO_PI for num, den in
-                             map(self._scaled_y_ratio, self.support)])
+            # _scaled_y_ratio from the table's ints; the int-by-int true
+            # division rounds once, as float(Fraction) does
+            c4 = self.witness.c4
+            powers = _support_table(self.support).powers
+            return np.array([4 * w / (c4 * w1) / TWO_PI for w, w1 in powers])
         return self.theta_star * self._x_floats
 
     @cached_property
     def _z_floats(self) -> np.ndarray:
         if self.witness is not None:
-            sines = dict(zip(self.witness.indices, self.witness.sines))
-            return np.array([sines[i] for i in self.support])
+            return np.array(self.witness.sines)   # indexed as the support
         return _sin(1.0 / self._y_floats)
+
+    def lattice_sines(self, c: Fraction, positions) -> np.ndarray:
+        """lattice_sine(c, support[p]) at each support position p, bit for bit.
+
+        The witness's own c reads the certificate's sines, which reduce the
+        same rational (r / 4w for 4c, where lattice_sine takes c's lowest
+        terms) through the same correctly rounded division.  Any other c is
+        reduced in integers from the table, with its numerator and
+        denominator taken once.
+        """
+        c = Fraction(c)
+        if c < 0:
+            raise ValueError("lattice_sine requires a nonnegative c")
+        if self.witness is not None and c == self.witness.c:
+            return self._z_floats[positions]
+        num, den = c.numerator, c.denominator
+        powers = _support_table(self.support).powers
+        sines = []
+        for p in np.asarray(positions).tolist():
+            w, w1 = powers[p]
+            d = den * w
+            sines.append(math.sin(TWO_PI * ((num * w1 % d) / d)))
+        return np.array(sines)
 
     def _lattice_block(self, pos) -> Block:
         return Block(x=self._x_floats[pos], y=self._y_floats[pos],
@@ -136,12 +179,17 @@ class SineInstance:
             return Block(x=x, y=y, z=_sin(1.0 / y))
         return self._lattice_block(rng.integers(0, len(self.support), size=count))
 
+    @cached_property
+    def _support_block(self) -> Block:
+        return self._lattice_block(np.arange(len(self.support)))
+
     def support_enumeration(self, t: int):
         """The finite support as one labeled block, uniform over its rows;
-        None if the support is continuous."""
+        None if the support is continuous.  The block's columns are
+        read-only, so it is built once per instance."""
         if self.continuous:
             return None
-        return self._lattice_block(np.arange(len(self.support)))
+        return self._support_block
 
     def min_support_y(self) -> float:
         if self.continuous:

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modalgap.core import (ABSOLUTE, CLIPPED_ABS, Block, DomainError, SeedSpec,
-                           SingularityError, draw_labeled, draw_unlabeled)
-from modalgap.analysis import (boolean_count_formula,
+                           SingularityError, draw_labeled, draw_unlabeled,
+                           loss_values)
+from modalgap.analysis import (_predictions, boolean_count_formula,
                                boolean_population_excess,
                                boolean_realizability_exact,
                                best_unimodal_population_risk,
@@ -27,6 +29,7 @@ from modalgap.hypotheses import (BooleanLookupClass, BooleanMapClass,
                                  SineSingletonClass, XOnlyPredictorClass)
 from modalgap.instances import (make_boolean, make_separable_from_fixed_points,
                                 make_sine, make_sine_shattered, make_sine_subset)
+from modalgap.shatter import CONVENTIONS, lattice_point, lattice_sine
 
 SEED = SeedSpec(1234)
 
@@ -321,3 +324,91 @@ def test_bound_scaling_rejects_grid_without_two_sizes():
     # two n*T values but a single m*T value
     with pytest.raises(DomainError):
         bound_scaling_experiment(ns=(4, 16), ms=(64,), Ts=(1,), seeds=1, seed=SEED)
+
+
+def _composed(c_exact):
+    return MultimodalSolution(connection=ScalingConnection(0.5, c_exact=c_exact),
+                              predictors=(SinePredictor(),),
+                              stage1_objective=0.0, stage2_objective=0.0)
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(m=st.integers(1, 216), convention=st.sampled_from(CONVENTIONS),
+       data=st.data())
+def test_composed_predictions_match_lattice_sine_per_index(m, convention, data):
+    """Both routes of an exact composed solution against lattice_sine, one
+    index at a time: the witness's own c (the certificate's sines) and any
+    other c (integer reduction from the support table), on the whole
+    support and on a drawn block with repeated rows."""
+    signs = data.draw(st.lists(st.sampled_from((-1, 1)), min_size=m, max_size=m))
+    top = data.draw(st.integers(m, 216))
+    indices = sorted(data.draw(st.permutations(range(1, top + 1)))[:m])
+    inst = make_sine_shattered(signs, indices=indices, convention=convention)
+    c = inst.witness.c
+    shift = data.draw(st.sampled_from([Fraction(1, 3), Fraction(-1, 7), Fraction(5, 2),
+                                       -c + Fraction(3, 11)]))
+    blocks = (inst.support_enumeration(0),
+              draw_labeled(inst, 1, 2 * m, SeedSpec(m)).tasks[0])
+    for c_exact in (c, c + shift):
+        for block in blocks:
+            preds = _predictions(_composed(c_exact), 0, inst, block)
+            expected = [lattice_sine(c_exact, inst.support[p])
+                        for p in block.support_index.tolist()]
+            assert _hex(preds) == _hex(expected)
+
+
+def test_composed_predictions_refuse_a_negative_c():
+    inst = make_sine_shattered([1, -1, 1])
+    with pytest.raises(ValueError, match="nonnegative"):
+        _predictions(_composed(Fraction(-1, 3)), 0, inst, inst.support_enumeration(0))
+
+
+def _reference_report(solution, instance):
+    """excess_risk's figures as the lab computed them one index at a time:
+    float x from each exact lattice point, a composed solution's predictions
+    from lattice_sine at its c, and the comparator sin(1/y) from lattice_sine
+    at the witness's c, all against the certificate's labels."""
+    support = instance.support
+    zs = list(instance.witness.sines)
+    if isinstance(solution, UnimodalSolution):
+        preds = [solution.member.map(np.array([float(lattice_point(i))]))[0]
+                 for i in support]
+    else:
+        preds = [lattice_sine(solution.connection.c_exact, i) for i in support]
+    truth = [lattice_sine(instance.witness.c, i) for i in support]
+
+    def risk(values):
+        losses = loss_values(CLIPPED_ABS, values, zs).tolist()
+        return sum(map(Fraction, losses)) / len(support)
+
+    return risk(preds), risk(truth)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_excess_risk_matches_per_index_reference_on_criterion_5_seeds(n):
+    """Both fitted solutions of criterion 5's first 12 trials, at m = n^3."""
+    seed = SeedSpec(505)
+    m = n ** 3
+    for trial in range(12):
+        root = seed.child("trial", trial)
+        signs = root.child("signs").generator().integers(0, 2, size=m) * 2 - 1
+        inst = make_sine_shattered(signs, indices=range(1, m + 1))
+        labeled = draw_labeled(inst, 1, n, root)
+        unlabeled = draw_unlabeled(inst, 1, n, root)
+        block = labeled.tasks[0]
+        tilde = fit_unimodal(np.column_stack((block.x[:, 0], block.z)),
+                             ComposedSineClass(), CLIPPED_ABS)
+        two_stage = fit_multimodal(labeled, unlabeled, ScalingClass(),
+                                   SineSingletonClass(), CLIPPED_ABS)
+        for solution in (tilde, two_stage):
+            report = excess_risk(solution, inst, SineSingletonClass(), CLIPPED_ABS)
+            risk, comparator = _reference_report(solution, inst)
+            assert report.exact_risk == risk
+            assert report.exact_comparator == comparator
+            assert report.task_risks == (float(risk),)
+            assert report.excess == float(risk - comparator)
+        assert report.excess == 0.0

@@ -241,6 +241,8 @@ SUBSPACE_OTHER_RULE = {"family": "subspace", "v": [0.6], "y0": [0.1],
     (SINE_8, ["gap", "--cls", "singleton", "--resamples", "2", "--draws", "100"]),
     (None, ["gaussavg", "--cls", "composed-sine"]),
     (None, ["gaussavg", "--cls", "scaling"]),
+    (None, ["gaussavg", "--cls", "scaling", "--points=nan,1"]),
+    (None, ["gaussavg", "--cls", "singleton", "--points", "0.5", "--y-points=-inf"]),
     (None, ["necessity", "--trials", "0"]),
     (None, ["necessity", "--n", "0"]),
     (SINE_8, ["fit-joint", "--budget", "0"]),
@@ -260,7 +262,8 @@ SUBSPACE_OTHER_RULE = {"family": "subspace", "v": [0.6], "y0": [0.1],
     (TAMPERED_WITNESS, ["fit-unimodal"]),
 ], ids=["unknown-family", "no-family", "not-an-object", "fit-unimodal-singleton",
         "gap-singleton",
-        "gaussavg-no-indices", "gaussavg-no-points", "necessity-no-trials",
+        "gaussavg-no-indices", "gaussavg-no-points", "gaussavg-nan-point",
+        "gaussavg-infinite-y-point", "necessity-no-trials",
         "necessity-no-points", "fit-joint-no-budget", "separation-no-trials",
         "separation-no-grid", "repr-compare-no-points", "gap-no-resamples",
         "realizability-subspace", "realizability-boolean-subspace",
@@ -466,13 +469,10 @@ def test_workers_flag_only_on_monte_carlo_commands():
     assert takes == {"gaussavg", "gap", "repr-compare"}
 
 
-@st.composite
-def separation_argv(draw):
-    """separation argv whose sizes are left out, positive, zero, negative or
-    not numbers; the depths reach past the float64 cap on y, which is
-    refused early.  --trials stays at most 2 and --grid at most 20,000."""
-    argv = ["separation"]
-    for flag, hi in (("--n", 60), ("--m", 400), ("--trials", 2), ("--grid", 20_000)):
+def _draw_sizes(draw, argv, limits):
+    """argv with each (flag, hi) of limits left out, or given a size in
+    1..hi, a size in -2..0, or a word that is not a number."""
+    for flag, hi in limits:
         kind = draw(st.sampled_from(["none", "size", "size", "size", "small",
                                      "text"]))
         if kind != "none":
@@ -482,6 +482,27 @@ def separation_argv(draw):
     return argv
 
 
+def _run_main(argv, instance=MISSING):
+    """main's exit code for argv, with instance (if given) written to a
+    file that --instance names, and the output in a fresh directory."""
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()), \
+            redirect_stderr(io.StringIO()):
+        if instance is not MISSING:
+            path = Path(tmp) / "instance.json"
+            path.write_text(json.dumps(instance))
+            argv = argv + ["--instance", str(path)]
+        return main(argv + ["--out", str(Path(tmp) / "out")])
+
+
+@st.composite
+def separation_argv(draw):
+    """separation argv whose sizes are left out, positive, zero, negative or
+    not numbers; the depths reach past the float64 cap on y, which is
+    refused early.  --trials stays at most 2 and --grid at most 20,000."""
+    return _draw_sizes(draw, ["separation"], (("--n", 60), ("--m", 400),
+                                              ("--trials", 2), ("--grid", 20_000)))
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(argv=separation_argv())
 def test_separation_exits_with_a_code_for_any_sizes(argv):
@@ -489,9 +510,7 @@ def test_separation_exits_with_a_code_for_any_sizes(argv):
         argv += ["--trials", "1"]
     if "--grid" not in argv:
         argv += ["--grid", "1000"]
-    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()), \
-            redirect_stderr(io.StringIO()):
-        assert main(argv + ["--out", str(Path(tmp) / "out")]) in (0, 1, 2)
+    assert _run_main(argv) in (0, 1, 2)
 
 
 # every instance file the lab writes or refuses, for fit-unimodal to read
@@ -510,13 +529,7 @@ def fit_unimodal_argv(draw):
     cls = draw(st.sampled_from([None, "nope"] + sorted(_CLASSES)))
     if cls is not None:
         argv += ["--cls", cls]
-    for flag, hi in (("--n", 64), ("--grid", 10**6)):
-        kind = draw(st.sampled_from(["none", "size", "size", "size", "small",
-                                     "text"]))
-        if kind != "none":
-            value = {"size": st.integers(1, hi), "small": st.integers(-2, 0),
-                     "text": NON_NUMERIC}[kind]
-            argv += [flag, str(draw(value))]
+    argv = _draw_sizes(draw, argv, (("--n", 64), ("--grid", 10**6)))
     return draw(st.sampled_from(FIT_UNIMODAL_INSTANCES)), argv
 
 
@@ -524,9 +537,108 @@ def fit_unimodal_argv(draw):
 @given(case=fit_unimodal_argv())
 def test_fit_unimodal_exits_with_a_code_for_any_argv(case):
     instance, argv = case
-    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()), \
-            redirect_stderr(io.StringIO()):
-        path = Path(tmp) / "instance.json"
-        path.write_text(json.dumps(instance))
-        code = main(argv + ["--instance", str(path), "--out", str(Path(tmp) / "out")])
-    assert code in (0, 1, 2)
+    assert _run_main(argv, instance) in (0, 1, 2)
+
+
+# numbers, non-finite numbers and words, as a comma-separated list holds them
+POINT = st.one_of(st.floats(-2.0, 2.0).map(repr),
+                  st.sampled_from(["0", "1", "nan", "inf", "-inf", "x", ""]))
+# lattice indices: positive, zero or negative, past the float64 cap on y,
+# or not a number
+INDEX = st.one_of(st.integers(-2, 300).map(str), st.just("a"))
+# a confidence or ratio: inside and outside (0, 1), non-finite or a word
+LEVEL = st.one_of(st.sampled_from(["0.05", "0.5", "0.999", "0", "1", "-0.1",
+                                   "1.5", "1e-300", "1e308", "nan", "inf"]),
+                  NON_NUMERIC)
+
+
+@st.composite
+def gaussavg_argv(draw):
+    """gaussavg argv: every class the CLI names and one it does not, either
+    kind, points, y points and indices as lists that may be empty, and sizes
+    as above.  Lists hold at most 12 entries, --draws stays at most 300 and
+    --workers at most 3."""
+    argv = ["gaussavg"]
+    cls = draw(st.sampled_from([None, "nope"] + sorted(_CLASSES)))
+    if cls is not None:
+        argv += ["--cls", cls]
+    kind = draw(st.sampled_from([None, "gaussian", "rademacher"]))
+    if kind is not None:
+        argv += ["--kind", kind]
+    for flag, entry in (("--points", POINT), ("--y-points", POINT),
+                        ("--indices", INDEX)):
+        if draw(st.booleans()):
+            # flag=value, so a list that starts with "-" reaches the program
+            argv.append(f"{flag}={','.join(draw(st.lists(entry, max_size=12)))}")
+    return _draw_sizes(draw, argv, (("--draws", 300), ("--workers", 3)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=gaussavg_argv())
+def test_gaussavg_exits_with_a_code_for_any_argv(argv):
+    assert _run_main(argv) in (0, 1, 2)
+
+
+@st.composite
+def gap_argv(draw):
+    """(instance or MISSING, gap argv): the lab's instance files and refused
+    ones or none, every CLI class and an unknown one, and sizes as above.
+    --n stays at most 16, --support at most 80, --draws at most 300,
+    --resamples at most 3 and --workers at most 3."""
+    argv = ["gap"]
+    cls = draw(st.sampled_from([None, "nope"] + sorted(_CLASSES)))
+    if cls is not None:
+        argv += ["--cls", cls]
+    argv = _draw_sizes(draw, argv, (("--n", 16), ("--support", 80),
+                                    ("--draws", 300), ("--resamples", 3),
+                                    ("--workers", 3)))
+    return draw(st.sampled_from([MISSING] + FIT_UNIMODAL_INSTANCES)), argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=gap_argv())
+def test_gap_exits_with_a_code_for_any_argv(case):
+    instance, argv = case
+    # the defaults, 30 resamples of 2,000 draws, take seconds per run
+    if "--draws" not in argv:
+        argv += ["--draws", "100"]
+    if "--resamples" not in argv:
+        argv += ["--resamples", "1"]
+    assert _run_main(argv, instance) in (0, 1, 2)
+
+
+@st.composite
+def bound_argv(draw):
+    """(instance or MISSING, bound argv): the lab's instance files and
+    refused ones or none, sizes as above and any confidence.  --n stays at
+    most 16, --m at most 256 and --T at most 4."""
+    argv = _draw_sizes(draw, ["bound"], (("--n", 16), ("--m", 256), ("--T", 4)))
+    if draw(st.booleans()):
+        argv.append(f"--delta={draw(LEVEL)}")
+    return draw(st.sampled_from([MISSING] + FIT_UNIMODAL_INSTANCES)), argv
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(case=bound_argv())
+def test_bound_exits_with_a_code_for_any_argv(case):
+    instance, argv = case
+    assert _run_main(argv, instance) in (0, 1, 2)
+
+
+@st.composite
+def repr_compare_argv(draw):
+    """repr-compare argv with sizes as above and any ratio bar.  --n stays
+    at most 10, which is 1,024 least-squares solves, --k at most 16, --draws
+    at most 300 and --workers at most 3."""
+    argv = _draw_sizes(draw, ["repr-compare"], (("--n", 10), ("--k", 16),
+                                                ("--draws", 300), ("--workers", 3)))
+    if draw(st.booleans()):
+        argv.append(f"--min-ratio={draw(LEVEL)}")
+    return argv
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(argv=repr_compare_argv())
+def test_repr_compare_exits_with_a_code_for_any_argv(argv):
+    # the default --n 8 stays; more points cost 2^n solves
+    assert _run_main(argv) in (0, 1, 2)

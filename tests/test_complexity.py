@@ -34,6 +34,18 @@ def test_singleton_average_refuses_a_pole():
         gaussian_average(SineSingletonClass(), sample, draws=500, seed=SEED)
 
 
+@pytest.mark.parametrize("signed", [False, True])
+def test_scaling_closed_form_survives_underflowing_squares(signed):
+    cls = ScalingClass(signed=signed)
+    factor = math.sqrt(2.0 / math.pi) if signed else 1.0 / math.sqrt(2.0 * math.pi)
+    for xs in ([1e-200, -3e-200] if signed else [1e-200, 3e-200], [5e-324] * 4,
+               [1e-160, 1e-160], [1.2e-154, 1e-154], [0.5, 1e-170]):
+        expected = math.hypot(*xs) * factor
+        assert cls.closed_form_gaussian(np.array(xs)) == pytest.approx(expected,
+                                                                      rel=1e-15)
+    assert cls.closed_form_gaussian(np.zeros(3)) == 0.0
+
+
 def test_scaling_matches_half_normal_mean():
     # E[max(0, Z)] = 1/sqrt(2 pi) for Z standard normal
     cls = ScalingClass()

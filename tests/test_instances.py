@@ -13,7 +13,7 @@ import pytest
 from modalgap import shatter
 from modalgap.cli import main
 from modalgap.core import DomainError, SeedSpec, draw_labeled
-from modalgap.instances import (SineInstance, instance_from_json,
+from modalgap.instances import (SineInstance, _support_table, instance_from_json,
                                 instance_to_json, make_boolean,
                                 make_separable, make_separable_from_fixed_points,
                                 make_sine, make_sine_shattered,
@@ -259,3 +259,55 @@ def test_instance_json_round_trips():
         assert np.array_equal(block_a.x, block_b.x)
         assert np.array_equal(block_a.y, block_b.y)
         assert np.array_equal(block_a.z, block_b.z)
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def test_support_table_x_is_the_exact_point_rounded_once():
+    support = tuple(range(1, 269))
+    table = _support_table(support)
+    assert _hex(table.x) == _hex(shatter.lattice_point(i) for i in support)
+    assert table.powers == tuple((16 ** i, 16 ** i + 1) for i in support)
+    assert not table.x.flags.writeable
+    assert _support_table(support) is table
+    # a sub-lattice keys its own table, and a non-witness instance reads it
+    inst = make_sine_subset([3, 17, 40], 0.6)
+    assert _hex(inst._x_floats) == _hex(shatter.lattice_point(i) for i in (3, 17, 40))
+
+
+@pytest.mark.parametrize("convention", shatter.CONVENTIONS)
+def test_witness_y_from_the_table_matches_the_scaled_ratio(convention):
+    """y from the table's ints against _scaled_y_ratio's num / den / 2 pi on
+    the whole lattice 1..268, the deepest whose y can stay above 0 (with the
+    smallest 4c, every digit -1), and on sub-lattices of random witnesses."""
+    rng = np.random.default_rng(27)
+    smallest = -1 if convention == "interval" else 1
+    cases = [([smallest] * 268, None)]
+    for _ in range(10):
+        m = int(rng.integers(1, 217))
+        indices = np.sort(rng.choice(np.arange(1, 217), size=m, replace=False))
+        cases.append((rng.choice((-1, 1), size=m).tolist(), indices.tolist()))
+    for signs, indices in cases:
+        inst = make_sine_shattered(signs, indices=indices, convention=convention)
+        expected = [num / den / shatter.TWO_PI
+                    for num, den in map(inst._scaled_y_ratio, inst.support)]
+        assert _hex(inst._y_floats) == _hex(expected)
+        assert _hex(inst._x_floats) == _hex(shatter.lattice_point(i)
+                                            for i in inst.support)
+
+
+@pytest.mark.parametrize("inst", [make_sine_shattered([1, -1, -1, 1, 1]),
+                                  make_sine(0.7, support=12),
+                                  make_sine_subset([2, 9, 30], 0.4)])
+def test_support_block_is_built_once_read_only_and_fresh_equal(inst):
+    block = inst.support_enumeration(0)
+    assert inst.support_enumeration(0) is block
+    fresh = inst._lattice_block(np.arange(len(inst.support)))
+    for name in ("x", "y", "z", "support_index"):
+        column = getattr(block, name)
+        assert not column.flags.writeable
+        assert column.tobytes() == getattr(fresh, name).tobytes()
+    with pytest.raises(ValueError):
+        block.z[0] = 0.0

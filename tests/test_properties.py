@@ -2,7 +2,8 @@
 shattering path against brute force, and the columnar sample format.
 
 The sign-complete oracle is checked against the 2^n vertex enumeration it
-replaces, also on samples with repeated points, and the population risk
+replaces, also on samples with repeated points, Monte Carlo scaling
+averages against their closed form, and the population risk
 (the sample ERM on the uniform support) against a direct minimization
 written out here.  Shattering certificates, built in integers, are checked
 against Fraction range reduction written out here.  Samples survive the CSV
@@ -26,7 +27,7 @@ from modalgap.analysis import best_unimodal_population_risk, separability_check
 from modalgap.complexity import gaussian_average, gaussian_average_closed_form
 from modalgap.core import (ABSOLUTE, CLIPPED_ABS, Block, DomainError, Loss,
                            InvalidInputError, SeedSpec, draw_labeled,
-                           draw_unlabeled, loss_eval, mean_loss,
+                           draw_unlabeled, exact_mean, loss_eval, mean_loss,
                            sample_from_csv, sample_hash, sample_to_csv)
 from modalgap.hypotheses import BooleanMapClass, ScalingClass, SignCompleteClass
 from modalgap.instances import (THREE_PARAM_RULES, instance_from_json,
@@ -69,6 +70,30 @@ def test_sign_complete_estimate_beyond_twenty_points():
         in_draw_order += column
     assert np.array_equal(cls.sup_oracle(np.zeros(21)).batch(sigma),
                           np.abs(in_draw_order))
+
+
+# a point of the scaling class's domain: (0, 1], or (-1, 0) u (0, 1) signed.
+# Below about 1e-154 the squares underflow and the Monte Carlo stderr reads 0.
+_UNIT = st.floats(1e-150, 1.0)
+
+
+@PROPERTY
+@given(signed=st.booleans(), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_scaling_monte_carlo_within_four_stderr_of_the_closed_form(signed, data,
+                                                                   seed):
+    """Gaussian Monte Carlo on random scaling samples, repeated points
+    included, against norm(x) / sqrt(2 pi) (or norm(x) sqrt(2 / pi)
+    signed)."""
+    point = (st.builds(lambda x, minus: -x if minus else x,
+                       _UNIT.filter(lambda x: x < 1.0), st.booleans())
+             if signed else _UNIT)
+    distinct = data.draw(st.lists(point, min_size=1, max_size=8))
+    xs = np.array(data.draw(st.lists(st.sampled_from(distinct), min_size=1,
+                                     max_size=12)))
+    cls = ScalingClass(signed=signed)
+    est = gaussian_average(cls, xs, draws=2000, seed=SeedSpec(seed))
+    assert est.mode == "enumeration-exact"
+    assert est.agrees_with(gaussian_average_closed_form(cls, xs))
 
 
 @PROPERTY
@@ -404,6 +429,16 @@ def test_mean_loss_equals_the_fraction_sum(pairs, kind):
     preds, zs = (list(column) for column in zip(*pairs))
     loss = Loss(kind)
     assert mean_loss(loss, preds, np.array(zs)) == _fraction_mean(loss, preds, zs)
+
+
+@pytest.mark.parametrize("values", [[0.0], [-0.0, 0.0, -0.0], [0.0] * 64,
+                                    [0.0] * 63 + [5e-324]])
+def test_exact_mean_of_zeros_and_a_near_zero(values):
+    mean = exact_mean(np.array(values))
+    assert isinstance(mean, Fraction)
+    assert mean == sum(map(Fraction, values), Fraction(0)) / len(values)
+    with pytest.raises(OverflowError):
+        exact_mean(np.array(values + [math.nan]))
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
