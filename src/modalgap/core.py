@@ -96,15 +96,12 @@ def exact_mean(values: np.ndarray) -> Fraction:
     Each value is an integer mantissa m < 2**53 times 2**(e - 53).  The
     mantissas are added per exponent e in two 26-bit halves, so every int64
     sum stays exact for up to 2**36 values; Python ints shift the sums
-    onto the smallest exponent.  All zeros, the loss of a prediction that
-    reproduces every label, have mean 0 without that work.
+    onto the smallest exponent.
     """
     if len(values) == 0:
         raise ZeroDivisionError("the mean of no values")
     if not np.all(np.isfinite(values)):
         raise OverflowError("cannot convert a non-finite float to a ratio")
-    if not np.any(values):
-        return Fraction(0)
     frac, exps = np.frexp(values)
     mantissas = np.ldexp(frac, 53).astype(np.int64)
     lowest = int(exps.min())

@@ -138,23 +138,12 @@ class SineInstance:
 
         The witness's own c reads the certificate's sines, which reduce the
         same rational (r / 4w for 4c, where lattice_sine takes c's lowest
-        terms) through the same correctly rounded division.  Any other c is
-        reduced in integers from the table, with its numerator and
-        denominator taken once.
+        terms) through the same correctly rounded division.
         """
-        c = Fraction(c)
-        if c < 0:
-            raise ValueError("lattice_sine requires a nonnegative c")
         if self.witness is not None and c == self.witness.c:
             return self._z_floats[positions]
-        num, den = c.numerator, c.denominator
-        powers = _support_table(self.support).powers
-        sines = []
-        for p in np.asarray(positions).tolist():
-            w, w1 = powers[p]
-            d = den * w
-            sines.append(math.sin(TWO_PI * ((num * w1 % d) / d)))
-        return np.array(sines)
+        return np.array([shatter.lattice_sine(c, self.support[p])
+                         for p in np.asarray(positions).tolist()])
 
     def _lattice_block(self, pos) -> Block:
         return Block(x=self._x_floats[pos], y=self._y_floats[pos],
