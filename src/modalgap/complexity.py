@@ -68,7 +68,12 @@ def _mc_average(oracle, draws: int, seed: SeedSpec, kind: str,
         parts = [run(item) for item in enumerate(spans)]
     values = np.concatenate(parts)
     mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(draws)) if draws > 1 else 0.0
+    # the std of the values scaled by 2^-e, e the exponent of the largest
+    # |value|, is exact and keeps the squared deviations of tiny values
+    # from going subnormal
+    e = math.frexp(float(np.max(np.abs(values))))[1]
+    spread = math.ldexp(float(np.ldexp(values, -e).std(ddof=1)), e)
+    stderr = spread / math.sqrt(draws) if draws > 1 else 0.0
     return ComplexityEstimate(mean, stderr, draws, kind, mode)
 
 
@@ -121,7 +126,7 @@ class RealizabilityReport:
 def approximate_realizability(cls, xs, ys) -> RealizabilityReport:
     """min over a connection class of the mean residual |g(x_i) - y_i|.
 
-    A connection class is one with joint_candidates (scaling, signed
+    A connection class is one with connection = True (scaling, signed
     scaling, boolean maps).  Its own x-only ERM fit_x under the absolute
     loss solves the minimum exactly (scaling: the weighted-median LAD;
     boolean maps: the first of the four tables with the least mean), and
@@ -134,7 +139,7 @@ def approximate_realizability(cls, xs, ys) -> RealizabilityReport:
     ys = np.asarray(ys, dtype=float)
     if xs.size == 0:
         raise DomainError("empty sample")
-    if not hasattr(cls, "joint_candidates"):
+    if not getattr(cls, "connection", False):
         raise UnsupportedClassError(f"{cls!r} is not a connection class")
     if ys.ndim > 1 and ys.shape[1] != 1:
         raise DomainError(f"the class maps x into R, but y has {ys.shape[1]} columns")

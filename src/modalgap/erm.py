@@ -9,7 +9,8 @@ Each class owns its own fits (see the hypotheses module).  This module
 owns what lies between them: the input checks of the x-only ERM, the
 exact-rational stage 1 on witness-backed lattice samples, the certified
 labels of stage 2 on those samples, the per-task loop of the two-stage fit,
-and the budgeted candidate loop and zero-loss census of the joint search.
+and the joint search with its zero-loss census: the composed sine grid for
+scaling with the sine singleton, and the four tables of the boolean maps.
 """
 
 from __future__ import annotations
@@ -22,11 +23,12 @@ import numpy as np
 
 from .complexity import approximate_realizability
 from .core import (Block, DegenerateDataError, DomainError, Loss, CLIPPED_ABS,
-                   MultiSample, UnsupportedClassError)
+                   MultiSample, SingularityError, UnsupportedClassError)
 # UnimodalSolution and _grid_erm live with the classes that fit them; they
 # stay importable from here, where the benchmark's tracer finds _grid_erm
-from .hypotheses import (ScalingClass, ScalingConnection, SineSingletonClass,  # noqa: F401
-                         UnimodalSolution, _grid_erm, fit_scaling_lad_exact)
+from .hypotheses import (BooleanMapClass, ScalingClass, ScalingConnection,  # noqa: F401
+                         SineSingletonClass, UnimodalSolution, _grid_erm,
+                         _grid_objective, _sine_values, fit_scaling_lad_exact)
 from .instances import SineInstance
 
 
@@ -155,44 +157,53 @@ def fit_unimodal(xz_pairs, cls, loss: Loss = CLIPPED_ABS,
 def fit_joint(labeled, connection_cls, predictor_cls,
               loss: Loss = CLIPPED_ABS, budget: int = 10**6) -> JointSolution:
     """Representation-style joint ERM from x-only labeled data: a labeled
-    MultiSample, or one labeled Block.
+    MultiSample, or one labeled Block.  The budget counts row evaluations.
 
-    The connection class supplies its candidates: all members of a finite
-    class, or a grid sized to the budget for a 1-D class.  Predictors are
-    fit exactly inside each candidate.  The number of objective evaluations
-    is capped by the budget and reported.  The zero-loss tie census uses
-    the class's own tolerance.
+    Boolean maps try their tables in order while the budget lasts, fitting
+    each task's predictor exactly inside; a zero-loss tie is within 1e-12.
+    Scaling with the sine singleton is the composed sine class on the pooled
+    rows, a grid of max(1, min(100_000, budget // rows)) thetas, each one
+    evaluated; a zero-loss tie is within the grid resolution.  No other
+    pair has a joint search.
     """
     if budget < 1:
         raise DomainError("the budget must buy at least one evaluation")
     blocks = labeled.tasks if isinstance(labeled, MultiSample) else (labeled,)
+    rows = sum(len(b) for b in blocks)
 
-    candidates, tolerance, exhausted = connection_cls.joint_candidates(
-        sum(len(b) for b in blocks), budget)
+    if isinstance(connection_cls, BooleanMapClass):
+        # a table is tried while the evaluations so far are below the budget
+        tables = connection_cls.members()[:-(-budget // rows)]
+        fits = [[predictor_cls.fit_predictor(Block(b.x, g.map(b.x[:, 0]), b.z), loss)
+                 for b in blocks] for g in tables]
+        objectives = [sum(obj * len(b) for (_, obj), b in zip(fit, blocks)) / rows
+                      for fit in fits]
+        best = min(range(len(tables)), key=objectives.__getitem__)
+        return JointSolution(connection=tables[best],
+                             predictors=tuple(member for member, _ in fits[best]),
+                             objective=objectives[best], evaluations=len(tables) * rows,
+                             zero_loss_ties=sum(v <= 1e-12 for v in objectives),
+                             budget_exhausted=len(tables) < 4)
 
-    best = None
+    if connection_cls != ScalingClass() or not isinstance(predictor_cls, SineSingletonClass):
+        raise UnsupportedClassError(
+            f"no joint search for {connection_cls!r} with {predictor_cls!r}")
+    xs = np.concatenate([b.x[:, 0] for b in blocks])
+    if np.any(xs == 0.0):
+        raise SingularityError("sin(1/y) undefined at y = 0")
+    points = max(1, min(100_000, budget // rows))
+    grid_objective = _grid_objective(_sine_values, xs,
+                                     np.concatenate([b.z for b in blocks]), loss)
     ties = 0
-    evals = 0
-    for g in candidates:
-        if evals >= budget:
-            exhausted = True
-            break
-        members = []
-        total = 0.0
-        count = 0
-        for block in blocks:
-            composed = Block(block.x, g.map(block.x[:, 0]), block.z)
-            member, objective = predictor_cls.fit_predictor(composed, loss)
-            members.append(member)
-            total += objective * len(block)
-            count += len(block)
-        evals += count
-        objective = total / count
-        if objective <= tolerance:
-            ties += 1
-        if best is None or objective < best[1]:
-            best = ((g, tuple(members)), objective)
-    (g, members), objective = best
-    return JointSolution(connection=g, predictors=members, objective=objective,
-                         evaluations=evals, zero_loss_ties=ties,
-                         budget_exhausted=exhausted)
+
+    def objective(thetas):
+        nonlocal ties
+        values = grid_objective(thetas)
+        ties += int(np.count_nonzero(values <= 1.0 / points))
+        return values
+
+    theta, value = _grid_erm(objective, points)
+    return JointSolution(connection=ScalingConnection(theta),
+                         predictors=tuple(predictor_cls.member() for _ in blocks),
+                         objective=value, evaluations=points * rows,
+                         zero_loss_ties=ties, budget_exhausted=budget // rows < 100_000)

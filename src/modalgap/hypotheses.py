@@ -19,9 +19,7 @@ branch on its type:
   builds one certificate per distinct sign pattern of a batch.
 - closed_form_gaussian(sample) / closed_form_rademacher(sample): the
   analytic average, defined only on the classes that have one.
-- joint_candidates(per_eval, budget): the candidates of the joint search,
-  an iterable read once.
-  A class with it is a connection class (scaling, boolean maps), and its
+- connection = True marks a connection class (scaling, boolean maps); its
   fit_x under the absolute loss is the connection fit of
   complexity.approximate_realizability and of stage 1.
 
@@ -670,6 +668,7 @@ class ScalingClass:
 
     signed: bool = False
 
+    connection = True
     oracle_input = _reads_x
 
     def fit_x(self, xs, zs, loss: Loss, grid_points: int):
@@ -682,16 +681,6 @@ class ScalingClass:
                                     path="exact-lad")
         return _grid_fit(ScalingConnection, lambda p: p, lambda lo, hi: (lo, hi),
                          xs, zs, loss, grid_points)
-
-    def joint_candidates(self, per_eval: int, budget: int):
-        """Grid over (0, 1] sized to the evaluation budget, as (members,
-        zero-loss tolerance, whether the budget cut the grid short).  The
-        members are made one at a time, as the search reads them.  An
-        off-grid zero-loss parameter shows up at the grid resolution."""
-        affordable = budget // max(per_eval, 1)
-        points = max(1, min(100_000, affordable))
-        members = (ScalingConnection(float(i) / points) for i in range(1, points + 1))
-        return members, 1.0 / points, affordable < 100_000
 
     def sup_oracle(self, sample):
         return _ScalingOracle(sample, signed=self.signed)
@@ -725,6 +714,7 @@ _ALL_TABLES = ((0, 0), (0, 1), (1, 0), (1, 1))
 class BooleanMapClass:
     """All four maps {0,1} -> {0,1}."""
 
+    connection = True
     oracle_input = _reads_x
 
     def members(self):
@@ -738,9 +728,6 @@ class BooleanMapClass:
         best = int(np.argmin(values))
         return UnimodalSolution(member=members[best], objective=values[best],
                                 path="enumeration-exact")
-
-    def joint_candidates(self, per_eval: int, budget: int):
-        return self.members(), 1e-12, False
 
     def sup_oracle(self, sample):
         return _BooleanMapOracle(sample)

@@ -246,6 +246,9 @@ SUBSPACE_OTHER_RULE = {"family": "subspace", "v": [0.6], "y0": [0.1],
     (None, ["necessity", "--trials", "0"]),
     (None, ["necessity", "--n", "0"]),
     (SINE_8, ["fit-joint", "--budget", "0"]),
+    (SINE_8, ["fit-joint", "--connection", "signed-scaling", "--budget", "8000"]),
+    (SINE_8, ["fit-joint", "--predictor", "sign-complete", "--budget", "8000"]),
+    (SINE_8, ["fit-joint", "--predictor", "boolean-lookup", "--budget", "8000"]),
     (None, ["separation", "--trials", "0"]),
     (None, ["separation", "--n", "2", "--trials", "2", "--grid", "0"]),
     (None, ["repr-compare", "--n", "0"]),
@@ -264,7 +267,9 @@ SUBSPACE_OTHER_RULE = {"family": "subspace", "v": [0.6], "y0": [0.1],
         "gap-singleton",
         "gaussavg-no-indices", "gaussavg-no-points", "gaussavg-nan-point",
         "gaussavg-infinite-y-point", "necessity-no-trials",
-        "necessity-no-points", "fit-joint-no-budget", "separation-no-trials",
+        "necessity-no-points", "fit-joint-no-budget", "fit-joint-signed-scaling",
+        "fit-joint-scaling-sign-complete", "fit-joint-scaling-boolean-lookup",
+        "separation-no-trials",
         "separation-no-grid", "repr-compare-no-points", "gap-no-resamples",
         "realizability-subspace", "realizability-boolean-subspace",
         "fit-multimodal-subspace", "bound-subspace", "bound-separable",
@@ -536,6 +541,51 @@ def fit_unimodal_argv(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(case=fit_unimodal_argv())
 def test_fit_unimodal_exits_with_a_code_for_any_argv(case):
+    instance, argv = case
+    assert _run_main(argv, instance) in (0, 1, 2)
+
+
+@st.composite
+def fit_joint_argv(draw):
+    """(instance, fit-joint argv): every connection and predictor class the
+    CLI names and one it does not, and sizes as above.  --n stays at most
+    16, --T at most 4 and --budget at most 10^6."""
+    argv = ["fit-joint"]
+    connection = draw(st.sampled_from([None, "nope"] + sorted(_CLASSES)))
+    if connection is not None:
+        argv += ["--connection", connection]
+    predictor = draw(st.sampled_from([None, "nope", "singleton", "boolean-lookup",
+                                      "sign-complete"]))
+    if predictor is not None:
+        argv += ["--predictor", predictor]
+    argv = _draw_sizes(draw, argv, (("--n", 16), ("--T", 4), ("--budget", 10**6)))
+    return draw(st.sampled_from(FIT_UNIMODAL_INSTANCES)), argv
+
+
+# most draws stop at a usage error or a refused pair, so it takes 200 to
+# reach a handful of searches
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=fit_joint_argv())
+def test_fit_joint_exits_with_a_code_for_any_argv(case):
+    instance, argv = case
+    assert _run_main(argv, instance) in (0, 1, 2)
+
+
+@st.composite
+def realizability_argv(draw):
+    """(instance, realizability argv): every class the CLI names and one it
+    does not, and sizes as above.  --T stays at most 4 and --m at most 400."""
+    argv = ["realizability"]
+    cls = draw(st.sampled_from([None, "nope"] + sorted(_CLASSES)))
+    if cls is not None:
+        argv += ["--cls", cls]
+    argv = _draw_sizes(draw, argv, (("--T", 4), ("--m", 400)))
+    return draw(st.sampled_from(FIT_UNIMODAL_INSTANCES)), argv
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=realizability_argv())
+def test_realizability_exits_with_a_code_for_any_argv(case):
     instance, argv = case
     assert _run_main(argv, instance) in (0, 1, 2)
 

@@ -46,13 +46,15 @@ def test_scaling_closed_form_survives_underflowing_squares(signed):
     assert cls.closed_form_gaussian(np.zeros(3)) == 0.0
 
 
-def test_scaling_matches_half_normal_mean():
-    # E[max(0, Z)] = 1/sqrt(2 pi) for Z standard normal
+@pytest.mark.parametrize("x", [1.0, 1e-170])
+def test_scaling_matches_half_normal_mean(x):
+    # E[max(0, x Z)] = x/sqrt(2 pi) for Z standard normal; at x = 1e-170 the
+    # squared deviations are subnormal unless the estimator rescales them
     cls = ScalingClass()
-    est = gaussian_average(cls, np.array([1.0]), draws=1_000_000, seed=SEED)
-    assert est.stderr < 1.5e-3
-    assert est.agrees_with(1.0 / math.sqrt(2.0 * math.pi))
-    assert abs(est.value - 0.3989) < 2e-3
+    est = gaussian_average(cls, np.array([x]), draws=1_000_000, seed=SEED)
+    assert est.stderr < 1.5e-3 * x
+    assert est.agrees_with(x / math.sqrt(2.0 * math.pi))
+    assert abs(est.value - 0.3989 * x) < 2e-3 * x
 
 
 def test_scaling_closed_form_values():

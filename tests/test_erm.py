@@ -17,9 +17,10 @@ from modalgap.erm import (fit_joint, fit_multimodal, fit_unimodal,
 from modalgap import hypotheses
 from modalgap.hypotheses import (BooleanLookupClass, BooleanMapClass,
                                  ComposedSineClass, ScalingClass,
-                                 SineSingletonClass, _clipped_mean_losses,
-                                 _grid_erm, _grid_floor, _grid_objective,
-                                 _row_mean, _sine_span, _sine_values)
+                                 ScalingConnection, SineSingletonClass,
+                                 _clipped_mean_losses, _grid_erm, _grid_floor,
+                                 _grid_objective, _row_mean, _sine_span,
+                                 _sine_values)
 from modalgap.instances import make_boolean, make_sine, make_sine_shattered
 from modalgap.shatter import lattice_point
 
@@ -582,18 +583,59 @@ def test_joint_fit_boolean_reduces_to_per_task():
     assert sol.objective >= 0.25
 
 
-def test_scaling_joint_candidates_are_made_as_they_are_read():
-    tracemalloc.start()
-    try:
-        members, tolerance, exhausted = ScalingClass().joint_candidates(1, 10**6)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert held < 2**20
-    assert tolerance == 1.0 / 100_000 and not exhausted
-    members, _, exhausted = ScalingClass().joint_candidates(3, 100)
-    assert exhausted
-    assert [g.theta for g in members] == [float(i) / 33 for i in range(1, 34)]
+def _per_candidate_joint(blocks, loss, budget):
+    """The joint search over scaling with the sine singleton, one candidate
+    at a time: for each grid theta a ScalingConnection, and per task the
+    class's fit_predictor on the composed block, added up weighted by task
+    size.  Returns the grid, the objective at each theta, the evaluations,
+    the zero-loss ties and whether the budget cut the grid short."""
+    rows = sum(len(b) for b in blocks)
+    points = max(1, min(100_000, budget // rows))
+    thetas = [float(i) / points for i in range(1, points + 1)]
+    objectives = []
+    for theta in thetas:
+        g = ScalingConnection(theta)
+        total = 0.0
+        for b in blocks:
+            _, objective = SineSingletonClass().fit_predictor(
+                Block(b.x, g.map(b.x[:, 0]), b.z), loss)
+            total += objective * len(b)
+        objectives.append(total / rows)
+    ties = sum(v <= 1.0 / points for v in objectives)
+    return thetas, objectives, points * rows, ties, budget // rows < 100_000
+
+
+@st.composite
+def joint_samples(draw):
+    """Labeled blocks from the lab's sine law, or x in (0, 1] with labels
+    anywhere in [-1.5, 1.5]; 1 to 3 tasks of 1 to 6 rows."""
+    tasks, n = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        inst = make_sine(draw(st.floats(0.05, 1.0)), support=draw(st.integers(1, 12)))
+        return draw_labeled(inst, tasks, n, SeedSpec(draw(st.integers(0, 99)))).tasks
+    rows = st.lists(st.tuples(st.floats(1e-3, 1.0), st.floats(-1.5, 1.5)),
+                    min_size=n, max_size=n)
+    return tuple(Block(x=[x for x, _ in r], y=[x for x, _ in r], z=[z for _, z in r])
+                 for r in (draw(rows) for _ in range(tasks)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(blocks=joint_samples(), loss=st.sampled_from([CLIPPED_ABS, ABSOLUTE]),
+       budget=st.integers(1, 5000))
+def test_joint_fit_matches_the_per_candidate_search(blocks, loss, budget):
+    thetas, objectives, evals, ties, exhausted = _per_candidate_joint(blocks, loss, budget)
+    sol = fit_joint(MultiSample(tasks=blocks), ScalingClass(), SineSingletonClass(),
+                    loss, budget=budget)
+    assert (sol.evaluations, sol.zero_loss_ties, sol.budget_exhausted) == (
+        evals, ties, exhausted)
+    best = int(np.argmin(objectives))
+    assert sol.objective == pytest.approx(objectives[best], rel=1e-12, abs=0.0)
+    if sol.connection.theta != thetas[best]:
+        # the sums may round apart in their last bits, and then pick
+        # another theta of the same objective
+        other = objectives[thetas.index(sol.connection.theta)]
+        assert other == pytest.approx(objectives[best], rel=1e-12, abs=0.0)
+    assert len(sol.predictors) == len(blocks)
 
 
 def test_joint_fit_budget_flag():

@@ -72,9 +72,8 @@ def test_sign_complete_estimate_beyond_twenty_points():
                           np.abs(in_draw_order))
 
 
-# a point of the scaling class's domain: (0, 1], or (-1, 0) u (0, 1) signed.
-# Below about 1e-154 the squares underflow and the Monte Carlo stderr reads 0.
-_UNIT = st.floats(1e-150, 1.0)
+# a point of the scaling class's domain: (0, 1], or (-1, 0) u (0, 1) signed
+_UNIT = st.floats(1e-300, 1.0)
 
 
 @PROPERTY
