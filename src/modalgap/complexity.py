@@ -68,9 +68,8 @@ def _mc_average(oracle, draws: int, seed: SeedSpec, kind: str,
         parts = [run(item) for item in enumerate(spans)]
     values = np.concatenate(parts)
     mean = float(values.mean())
-    # the std of the values scaled by 2^-e, e the exponent of the largest
-    # |value|, is exact and keeps the squared deviations of tiny values
-    # from going subnormal
+    # scaling by 2^-e, e the exponent of the largest |value|, is exact and
+    # keeps the squared deviations of tiny values from going subnormal
     e = math.frexp(float(np.max(np.abs(values))))[1]
     spread = math.ldexp(float(np.ldexp(values, -e).std(ddof=1)), e)
     stderr = spread / math.sqrt(draws) if draws > 1 else 0.0

@@ -9,8 +9,7 @@ Each class owns its own fits (see the hypotheses module).  This module
 owns what lies between them: the input checks of the x-only ERM, the
 exact-rational stage 1 on witness-backed lattice samples, the certified
 labels of stage 2 on those samples, the per-task loop of the two-stage fit,
-and the joint search with its zero-loss census: the composed sine grid for
-scaling with the sine singleton, and the four tables of the boolean maps.
+and the joint search: the composed sine grid, or the four boolean tables.
 """
 
 from __future__ import annotations
@@ -159,12 +158,11 @@ def fit_joint(labeled, connection_cls, predictor_cls,
     """Representation-style joint ERM from x-only labeled data: a labeled
     MultiSample, or one labeled Block.  The budget counts row evaluations.
 
-    Boolean maps try their tables in order while the budget lasts, fitting
-    each task's predictor exactly inside; a zero-loss tie is within 1e-12.
-    Scaling with the sine singleton is the composed sine class on the pooled
-    rows, a grid of max(1, min(100_000, budget // rows)) thetas, each one
-    evaluated; a zero-loss tie is within the grid resolution.  No other
-    pair has a joint search.
+    Boolean maps try their tables in order while the budget lasts, each
+    task's predictor fit exactly inside; a tie is a loss within 1e-12.
+    Scaling with the sine singleton is the composed sine grid on the pooled
+    rows, max(1, min(100_000, budget // rows)) thetas, all evaluated; a tie
+    is within the grid resolution.  No other pair has a joint search.
     """
     if budget < 1:
         raise DomainError("the budget must buy at least one evaluation")

@@ -644,6 +644,11 @@ def test_joint_fit_budget_flag():
     sol = fit_joint(labeled, ScalingClass(), SineSingletonClass(),
                     CLIPPED_ABS, budget=40)
     assert sol.budget_exhausted
+    # the budget cuts the grid short until it buys 100,000 thetas of 8 rows
+    for budget, exhausted in ((799_999, True), (800_000, False)):
+        sol = fit_joint(labeled, ScalingClass(), SineSingletonClass(),
+                        CLIPPED_ABS, budget=budget)
+        assert (sol.budget_exhausted, sol.evaluations) == (exhausted, budget // 8 * 8)
 
 
 def test_joint_fit_rejects_an_empty_budget():
